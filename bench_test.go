@@ -436,6 +436,26 @@ func BenchmarkCombinedMISRound(b *testing.B) {
 	b.ReportMetric(float64(n), "nodes")
 }
 
+// BenchmarkCombinedColoringRound measures one steady-state round of the
+// combined coloring pipeline (Concat of DColor and SColor, T1-1 = 33 live
+// DColor instances per node) on two workers under light churn (8 edge
+// additions + 8 deletions per round): the pipeline never quiesces, so the
+// round is dominated by the combiner's demux and the instances'
+// intersection-graph filters.
+func BenchmarkCombinedColoringRound(b *testing.B) {
+	const n = 4096
+	base := GNP(n, 8.0/float64(n), 5)
+	adv := NewChurn(base, 8, 8, 6)
+	e := NewEngine(EngineConfig{N: n, Seed: 7, Workers: 2}, adv, NewColoring(n))
+	e.Run(64) // fill the pipeline and reach steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(n), "nodes")
+}
+
 // BenchmarkTDynamicChecker measures the verification overhead per round at
 // N=4096 under steady churn, in four modes: the self-diffing incremental
 // checker (O(n) output scan per round), the changed-feed checker driven by

@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"fmt"
-	"sort"
 
 	"dynlocal/internal/ckpt"
 	"dynlocal/internal/core"
@@ -48,10 +47,9 @@ func loadPalette(r *ckpt.Reader) palette {
 	return palette{words: words, size: size}
 }
 
-// SaveState implements ckpt.Stater. The streak map is written as
-// key-sorted pairs so identical runs produce bit-identical checkpoint
-// artifacts; map iteration order never influences the restored state
-// (lookups only).
+// SaveState implements ckpt.Stater. The streak table is written in its
+// ascending id order, so identical runs produce bit-identical checkpoint
+// artifacts.
 func (d *dcolorNode) SaveState(w *ckpt.Writer) {
 	w.Section(tagDColor)
 	w.Varint(int64(d.out))
@@ -59,22 +57,11 @@ func (d *dcolorNode) SaveState(w *ckpt.Writer) {
 	w.Varint(int64(d.age))
 	w.Varint(d.tentative)
 	savePalette(w, &d.pal)
-	w.Bool(d.streak != nil)
-	if d.streak != nil {
-		keys := make([]graph.NodeID, 0, len(d.streak))
-		for k := range d.streak {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		w.Int(len(keys))
-		for _, k := range keys {
-			w.Varint(int64(k))
-			w.Varint(int64(d.streak[k]))
-		}
-	}
+	d.streak.Save(w)
 }
 
-// LoadState implements ckpt.Stater.
+// LoadState implements ckpt.Stater. The streak table must exist exactly
+// when the start round has run, with strictly ascending ids.
 func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	r.Section(tagDColor)
 	d.out = problemsValue(r)
@@ -82,17 +69,9 @@ func (d *dcolorNode) LoadState(r *ckpt.Reader) {
 	d.age = int32(r.Varint())
 	d.tentative = r.Varint()
 	d.pal = loadPalette(r)
-	if r.Bool() {
-		n := r.Count(streakCap)
-		// Non-nil even when empty: Process branches on d.started, but the
-		// map must exist once the start round has run.
-		d.streak = make(map[graph.NodeID]int32, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			k := graph.NodeID(r.Varint())
-			d.streak[k] = int32(r.Varint())
-		}
-	} else {
-		d.streak = nil
+	d.streak.Load(r, streakCap)
+	if r.Err() == nil && d.streak.Started() != d.started {
+		r.Fail(fmt.Errorf("coloring: streak table present=%v but started=%v", d.streak.Started(), d.started))
 	}
 }
 

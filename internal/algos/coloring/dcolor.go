@@ -91,11 +91,9 @@ type dcolorNode struct {
 
 	out problems.Value
 	pal palette
-	// streak[u] is the last age at which u had broadcast in every round
-	// of this instance so far; u is an intersection-graph neighbor in the
-	// current round iff streak[u] == age-1. One map for the node's
-	// lifetime — the per-round intersection needs no allocation.
-	streak    map[graph.NodeID]int32
+	// streak filters the inbox down to the intersection graph of the
+	// rounds since the start; filled from the start round's senders.
+	streak    core.StreakTable
 	age       int32
 	started   bool
 	tentative int64
@@ -129,11 +127,10 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 		// neighbors' input colors, and the intersection-neighbor streaks
 		// with the current neighbors.
 		d.started = true
-		d.streak = make(map[graph.NodeID]int32, len(in))
+		d.streak.Init(in)
 		d.age = 1
 		d.pal = newPalette(deg + 1)
 		for _, m := range in {
-			d.streak[m.From] = 1
 			if d.out == problems.Bot && m.M.Kind == KindStart && m.M.A != 0 {
 				d.pal.remove(m.M.A)
 			}
@@ -149,14 +146,13 @@ func (d *dcolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
 	// only if it has been a neighbor in every round since the start,
 	// i.e. its streak reaches the previous round (stale entries never
 	// match again, so no per-round set rebuild is needed).
-	prev := d.age
+	walk := d.streak.Walk(d.age)
 	d.age++
 	tentativeClash := false
 	for _, m := range in {
-		if d.streak[m.From] != prev {
+		if !walk.Keep(m.From) {
 			continue
 		}
-		d.streak[m.From] = prev + 1
 		switch m.M.Kind {
 		case KindFixed:
 			if d.pal.contains(m.M.A) {

@@ -28,7 +28,7 @@ const prfTentative = prf.PurposeTentativeColor
 // palette is a bitset over colors {1, …, k} supporting removal, membership
 // tests and uniform random selection. DColor palettes only shrink
 // (Lemma 4.2's invariant builds on that); SColor rebuilds its palette
-// every round.
+// in place every round.
 type palette struct {
 	words []uint64
 	size  int
@@ -36,17 +36,29 @@ type palette struct {
 
 // newPalette returns the full palette {1, …, k}.
 func newPalette(k int) palette {
+	var p palette
+	p.reset(k)
+	return p
+}
+
+// reset refills p with the full palette {1, …, k}, reusing its bitset
+// when it is large enough.
+func (p *palette) reset(k int) {
 	if k < 0 {
 		k = 0
 	}
-	words := make([]uint64, (k+63)/64)
+	nw := (k + 63) / 64
+	if cap(p.words) < nw {
+		p.words = make([]uint64, nw)
+	}
+	words := p.words[:nw]
 	for i := range words {
 		words[i] = ^uint64(0)
 	}
-	if k%64 != 0 && len(words) > 0 {
-		words[len(words)-1] = (1 << uint(k%64)) - 1
+	if k%64 != 0 && nw > 0 {
+		words[nw-1] = (1 << uint(k%64)) - 1
 	}
-	return palette{words: words, size: k}
+	p.words, p.size = words, k
 }
 
 // contains reports whether color c is in the palette.

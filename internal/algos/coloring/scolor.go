@@ -86,8 +86,8 @@ func (s *scolorNode) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 
 // Process implements the receive half of Algorithm 3.
 func (s *scolorNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	// Rebuild the palette: P_v = [d_r(v)+1] \ F_v.
-	s.pal = newPalette(deg + 1)
+	// Rebuild the palette in place: P_v = [d_r(v)+1] \ F_v.
+	s.pal.reset(deg + 1)
 	tentativeClash := false
 	for _, m := range in {
 		switch m.M.Kind {

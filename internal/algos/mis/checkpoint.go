@@ -23,46 +23,31 @@ const (
 // node can know at most every other node.
 const streakCap = 1 << 24
 
-// SaveState implements ckpt.Stater. The streak table is written
-// verbatim (parallel key/value slices in insertion order): order does
-// not change behavior, but keeping it byte-stable makes checkpoint
-// artifacts of identical runs comparable bit-for-bit.
+// SaveState implements ckpt.Stater. The streak table is written in its
+// ascending id order, so identical runs produce bit-identical checkpoint
+// artifacts.
 func (d *dmisNode) SaveState(w *ckpt.Writer) {
 	w.Section(tagDMis)
 	w.Varint(int64(d.out))
 	w.Bool(d.provD)
 	w.Int(d.age)
 	w.Uvarint(d.alpha)
-	w.Bool(d.streakK != nil)
-	if d.streakK != nil {
-		w.Int(len(d.streakK))
-		for i, k := range d.streakK {
-			w.Varint(int64(k))
-			w.Varint(int64(d.streakV[i]))
-		}
-	}
+	d.streak.Save(w)
 }
 
-// LoadState implements ckpt.Stater.
+// LoadState implements ckpt.Stater. The streak table's presence is
+// load-bearing (it marks the first executed round), so it must exist
+// exactly when the instance has processed a round, with strictly
+// ascending ids.
 func (d *dmisNode) LoadState(r *ckpt.Reader) {
 	r.Section(tagDMis)
 	d.out = readValue(r)
 	d.provD = r.Bool()
 	d.age = r.Int()
 	d.alpha = r.Uvarint()
-	if r.Bool() {
-		n := r.Count(streakCap)
-		// The nil-ness of streakK is load-bearing (it marks the first
-		// executed round), so restore a non-nil slice even when empty —
-		// AllocSlice guarantees non-nil for n == 0.
-		d.streakK = ckpt.AllocSlice[graph.NodeID](r, n)
-		d.streakV = ckpt.AllocSlice[int32](r, n)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			d.streakK[i] = graph.NodeID(r.Varint())
-			d.streakV[i] = int32(r.Varint())
-		}
-	} else {
-		d.streakK, d.streakV = nil, nil
+	d.streak.Load(r, streakCap)
+	if r.Err() == nil && d.streak.Started() != (d.age > 0) {
+		r.Fail(fmt.Errorf("mis: streak table present=%v at age %d", d.streak.Started(), d.age))
 	}
 }
 

@@ -121,19 +121,14 @@ type dmisNode struct {
 	v graph.NodeID
 
 	out problems.Value
-	// streak(u) is the last age at which u had broadcast in every round
-	// of this instance so far; u is an intersection-graph neighbor in the
-	// current round iff streak(u) == age-1. Stored as parallel key/value
-	// slices scanned linearly: the per-message lookup is on the hottest
-	// engine path and at local-algorithm degrees a scan of a few
-	// contiguous entries beats hashing. One allocation for the node's
-	// lifetime — the per-round intersection needs none.
-	streakK []graph.NodeID
-	streakV []int32
-	age     int    // rounds processed
-	provD   bool   // Dominated input, not yet re-witnessed (rounds 1-2)
-	alpha   uint64 // this round's random word (valid while undecided)
-	mask    uint64 // alpha truncation mask (AlphaBits)
+	// streak filters the inbox down to the intersection graph of the
+	// rounds since the first executed one; filled from that round's
+	// senders.
+	streak core.StreakTable
+	age    int    // rounds processed
+	provD  bool   // Dominated input, not yet re-witnessed (rounds 1-2)
+	alpha  uint64 // this round's random word (valid while undecided)
+	mask   uint64 // alpha truncation mask (AlphaBits)
 }
 
 // Start records the input configuration (M, D); Algorithm 4 needs no
@@ -187,36 +182,22 @@ func less(a uint64, av graph.NodeID, b uint64, bv graph.NodeID) bool {
 // Process implements the receive half of Algorithm 4, restricted to the
 // intersection graph.
 func (d *dmisNode) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	if d.streakK == nil {
-		// First executed round: the intersection graph is the current
-		// graph; senders are exactly the participating neighbors.
-		// (Dominated nodes are silent, but they also never influence
-		// anyone, so omitting them from the known set is harmless.)
-		d.streakK = make([]graph.NodeID, 0, len(in))
-		d.streakV = make([]int32, 0, len(in))
+	// First executed round: the intersection graph is the current graph;
+	// senders are exactly the participating neighbors, all heard.
+	// (Dominated nodes are silent, but they also never influence anyone,
+	// so omitting them from the known set is harmless.)
+	first := !d.streak.Started()
+	if first {
+		d.streak.Init(in)
 	}
-	prev := int32(d.age)
+	walk := d.streak.Walk(int32(d.age))
 	mark := false
 	isMin := true
 	for _, m := range in {
 		// Intersection-neighbor test: the sender must have broadcast in
-		// every round so far (stale streak entries never match again;
-		// an absent entry reads as streak 0).
-		si := -1
-		for i, k := range d.streakK {
-			if k == m.From {
-				si = i
-				break
-			}
-		}
-		if prev > 0 && (si < 0 || d.streakV[si] != prev) {
+		// every round so far (stale streak entries never match again).
+		if !first && !walk.Keep(m.From) {
 			continue
-		}
-		if si < 0 {
-			d.streakK = append(d.streakK, m.From)
-			d.streakV = append(d.streakV, prev+1)
-		} else {
-			d.streakV[si] = prev + 1
 		}
 		switch m.M.Kind {
 		case KindMark:

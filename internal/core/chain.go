@@ -83,13 +83,11 @@ type chainProc struct {
 	c    *Chain
 	v    graph.NodeID
 	salg NodeInstance
-	mids []dSlot
-	outs []dSlot
-	// ictx and bucks: see concatProc — reusable callback context (a stack
-	// copy would heap-escape per instance call) and one-pass channel demux
-	// buffers (slot 0 = SAlg, then mids, then outs).
-	ictx  engine.Ctx
-	bucks [][]engine.Incoming
+	mids slotRing // Tm-1 live mid instances, oldest first
+	outs slotRing // T1-1 live outer instances, oldest first
+	// ictx: see concatProc — reusable callback context (a stack copy
+	// would heap-escape per instance call).
+	ictx engine.Ctx
 }
 
 func (p *chainProc) Start(ctx *engine.Ctx, input problems.Value) {
@@ -101,16 +99,7 @@ func (p *chainProc) Start(ctx *engine.Ctx, input problems.Value) {
 
 // midOutput is the mid-pipeline's current output: the oldest mid instance
 // that has run its full Tm-1 rounds (⊥ during warm-up).
-func (p *chainProc) midOutput() problems.Value {
-	if len(p.mids) == 0 {
-		return problems.Bot
-	}
-	front := &p.mids[0]
-	if front.age < p.c.Tm-1 {
-		return problems.Bot
-	}
-	return front.inst.Output()
-}
+func (p *chainProc) midOutput() problems.Value { return p.mids.output(p.c.Tm) }
 
 func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
 	// Capture the mid-pipeline output of the previous round before any
@@ -123,10 +112,7 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(midCh)
 	mi.Start(&p.ictx, p.salg.Output())
-	p.mids = append(p.mids, dSlot{ch: midCh, inst: mi})
-	if len(p.mids) > p.c.Tm-1 {
-		p.mids = p.mids[1:]
-	}
+	p.mids.push(dSlot{ch: midCh, inst: mi}, p.c.Tm-1)
 
 	// Start this round's outer instance on the mid-pipeline output.
 	outCh := int32(2*ctx.Round + 1)
@@ -134,101 +120,23 @@ func (p *chainProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Sub
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(outCh)
 	oi.Start(&p.ictx, midPrev)
-	p.outs = append(p.outs, dSlot{ch: outCh, inst: oi})
-	if len(p.outs) > p.c.T1-1 {
-		p.outs = p.outs[1:]
-	}
+	p.outs.push(dSlot{ch: outCh, inst: oi}, p.c.T1-1)
 
 	// Broadcast all three layers with channel tags.
-	p.ictx = *ctx
-	p.ictx.PurposeBase = instancePurpose(0)
-	start := len(buf)
-	buf = p.salg.Broadcast(&p.ictx, buf)
-	for i := start; i < len(buf); i++ {
-		buf[i].Chan = 0
-	}
-	for _, ring := range [][]dSlot{p.mids, p.outs} {
-		for i := range ring {
-			s := &ring[i]
-			p.ictx = *ctx
-			p.ictx.PurposeBase = dalgPurpose(s.ch)
-			start = len(buf)
-			buf = s.inst.Broadcast(&p.ictx, buf)
-			for j := start; j < len(buf); j++ {
-				buf[j].Chan = s.ch
-			}
-		}
-	}
-	return buf
+	buf = broadcastOn(&p.ictx, ctx, p.salg, instancePurpose(0), 0, buf)
+	buf = p.mids.broadcast(&p.ictx, ctx, buf)
+	return p.outs.broadcast(&p.ictx, ctx, buf)
 }
 
+// Process demultiplexes the inbox — S on channel 0, the mid pipeline on
+// even channels 2r, the outer pipeline on odd channels 2r+1 — and runs
+// every instance on its share.
 func (p *chainProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	bucks := p.demux(in)
-	p.ictx = *ctx
-	p.ictx.PurposeBase = instancePurpose(0)
-	p.salg.Process(&p.ictx, bucks[0], deg)
-	slot := 1
-	for _, ring := range [][]dSlot{p.mids, p.outs} {
-		for i := range ring {
-			s := &ring[i]
-			p.ictx = *ctx
-			p.ictx.PurposeBase = dalgPurpose(s.ch)
-			s.inst.Process(&p.ictx, bucks[slot], deg)
-			s.age++
-			slot++
-		}
-	}
+	processRound(&p.ictx, ctx, in, deg, p.salg, 1, &p.mids, &p.outs)
 	if p.c.MidProbe != nil {
 		p.c.MidProbe(p.v, ctx.Round, p.midOutput())
 	}
 }
 
-// demux splits the inbox by channel into reused per-slot buffers: slot 0
-// for SAlg, slots 1..len(mids) for the mid pipeline (even channels
-// 2r), the rest for the outer pipeline (odd channels 2r+1). Both rings
-// hold consecutive rounds, so slot lookup is an offset.
-func (p *chainProc) demux(in []engine.Incoming) [][]engine.Incoming {
-	nb := 1 + len(p.mids) + len(p.outs)
-	for len(p.bucks) < nb {
-		p.bucks = append(p.bucks, nil)
-	}
-	bucks := p.bucks[:nb]
-	for i := range bucks {
-		bucks[i] = bucks[i][:0]
-	}
-	var midBase, outBase int32
-	if len(p.mids) > 0 {
-		midBase = p.mids[0].ch
-	}
-	if len(p.outs) > 0 {
-		outBase = p.outs[0].ch
-	}
-	for _, m := range in {
-		ch := m.M.Chan
-		switch {
-		case ch == 0:
-			bucks[0] = append(bucks[0], m)
-		case ch&1 == 0:
-			if idx := int(ch-midBase) / 2; idx >= 0 && idx < len(p.mids) && p.mids[idx].ch == ch {
-				bucks[1+idx] = append(bucks[1+idx], m)
-			}
-		default:
-			if idx := int(ch-outBase) / 2; idx >= 0 && idx < len(p.outs) && p.outs[idx].ch == ch {
-				bucks[1+len(p.mids)+idx] = append(bucks[1+len(p.mids)+idx], m)
-			}
-		}
-	}
-	return bucks
-}
-
 // Output is the oldest mature outer instance, as in Algorithm 1.
-func (p *chainProc) Output() problems.Value {
-	if len(p.outs) == 0 {
-		return problems.Bot
-	}
-	front := &p.outs[0]
-	if front.age < p.c.T1-1 {
-		return problems.Bot
-	}
-	return front.inst.Output()
-}
+func (p *chainProc) Output() problems.Value { return p.outs.output(p.c.T1) }

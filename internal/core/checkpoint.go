@@ -83,56 +83,61 @@ func (p singleProc) LoadState(r *ckpt.Reader) {
 
 // saveSlots serializes one instance pipeline: slot count, then each
 // slot's channel, age and instance state in ring order (front = oldest).
-func saveSlots(w *ckpt.Writer, slots []dSlot) {
-	w.Int(len(slots))
-	for i := range slots {
-		s := &slots[i]
+func saveSlots(w *ckpt.Writer, ring *slotRing) {
+	w.Int(ring.n)
+	for i := 0; i < ring.n; i++ {
+		s := ring.at(i)
 		w.Varint(int64(s.ch))
 		w.Int(s.age)
 		saveInstance(w, s.inst)
 	}
 }
 
-// loadSlots restores an instance pipeline, building each instance via
-// the factory (NewNode without Start — all instance state comes from the
-// stream). The slot slice is carved from the reader's arena at the
-// pipeline's capacity bound, so the restored run's appends stay within
-// it.
-func loadSlots(r *ckpt.Reader, maxSlots int, f nodeFactory, v graph.NodeID) []dSlot {
-	n := r.Count(maxSlots)
+// loadSlots restores an instance pipeline of at most size live slots,
+// building each instance via the factory (NewNode without Start — all
+// instance state comes from the stream). Channels must step by exactly
+// stride from slot to slot, as a running pipeline's do (the demux index
+// relies on it). The ring's backing array is carved from the reader's
+// arena at the pipeline bound, oldest slot first.
+func loadSlots(r *ckpt.Reader, size int, stride int32, f nodeFactory, v graph.NodeID) slotRing {
+	n := r.Count(size)
 	if r.Err() != nil {
-		return nil
+		return slotRing{}
 	}
-	slots := ckpt.AllocSlice[dSlot](r, maxSlots)[:n]
+	ring := slotRing{buf: ckpt.AllocSlice[dSlot](r, size), n: n}
 	for i := 0; i < n; i++ {
-		s := &slots[i]
+		s := &ring.buf[i]
 		s.ch = int32(r.Varint())
+		if i > 0 && int64(s.ch) != int64(ring.buf[i-1].ch)+int64(stride) {
+			r.Fail(fmt.Errorf("core: pipeline slot %d: channel %d does not follow %d", i, s.ch, ring.buf[i-1].ch))
+			return slotRing{}
+		}
 		s.age = r.Int()
 		s.inst = restoredInstance(r, f, v)
 		loadInstance(r, s.inst)
 		if r.Err() != nil {
-			return nil
+			return slotRing{}
 		}
 	}
-	return slots
+	return ring
 }
 
 // SaveState implements ckpt.Stater for the Concat processor.
 func (p *concatProc) SaveState(w *ckpt.Writer) {
 	w.Section(tagConcat)
 	saveInstance(w, p.salg)
-	saveSlots(w, p.dal)
+	saveSlots(w, &p.dal)
 }
 
 // LoadState implements ckpt.Stater: it rebuilds the static-algorithm
 // instance and the dynamic pipeline via their factories, then restores
-// each instance's state. ictx and bucks are per-round scratch and need
-// no restoring.
+// each instance's state. ictx is per-call scratch and needs no
+// restoring.
 func (p *concatProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagConcat)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.dal = loadSlots(r, p.c.T1, p.c.D, p.v)
+	p.dal = loadSlots(r, p.c.T1-1, 1, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm: on restore the
@@ -147,8 +152,8 @@ func (c *Concat) NewNodeArena(v graph.NodeID, r *ckpt.Reader) engine.NodeProc {
 func (p *chainProc) SaveState(w *ckpt.Writer) {
 	w.Section(tagChain)
 	saveInstance(w, p.salg)
-	saveSlots(w, p.mids)
-	saveSlots(w, p.outs)
+	saveSlots(w, &p.mids)
+	saveSlots(w, &p.outs)
 }
 
 // LoadState implements ckpt.Stater.
@@ -156,8 +161,8 @@ func (p *chainProc) LoadState(r *ckpt.Reader) {
 	r.Section(tagChain)
 	p.salg = restoredInstance(r, p.c.S, p.v)
 	loadInstance(r, p.salg)
-	p.mids = loadSlots(r, p.c.Tm, p.c.Mid, p.v)
-	p.outs = loadSlots(r, p.c.T1, p.c.D, p.v)
+	p.mids = loadSlots(r, p.c.Tm-1, 2, p.c.Mid, p.v)
+	p.outs = loadSlots(r, p.c.T1-1, 2, p.c.D, p.v)
 }
 
 // NewNodeArena implements engine.ArenaAlgorithm.

@@ -80,26 +80,16 @@ func (c *Concat) NewNode(v graph.NodeID) engine.NodeProc {
 	return &concatProc{c: c, v: v}
 }
 
-// dSlot is one live dynamic-algorithm instance at a node.
-type dSlot struct {
-	ch   int32
-	inst NodeInstance
-	age  int // rounds processed
-}
-
 type concatProc struct {
 	c    *Concat
 	v    graph.NodeID
 	salg NodeInstance
-	dal  []dSlot // front = oldest
+	dal  slotRing // T1-1 live DAlg instances, oldest first
 	// ictx is the reusable context handed to instance callbacks: passing
 	// a fresh stack copy through the NodeInstance interface would escape
 	// to the heap on every call — one allocation per instance per round.
 	// Instances must not retain the pointer beyond the call (they don't).
 	ictx engine.Ctx
-	// bucks demultiplexes the inbox by channel in one pass: bucks[0] is
-	// SAlg's, bucks[1+i] belongs to dal[i]. Buffers are reused per round.
-	bucks [][]engine.Incoming
 }
 
 // dalgPurpose derives the purpose base of a dynamic instance channel,
@@ -125,89 +115,23 @@ func (p *concatProc) Broadcast(ctx *engine.Ctx, buf []engine.SubMsg) []engine.Su
 	p.ictx = *ctx
 	p.ictx.PurposeBase = dalgPurpose(ch)
 	inst.Start(&p.ictx, p.salg.Output())
-	p.dal = append(p.dal, dSlot{ch: ch, inst: inst})
-	// Lines 2-3: cap the pipeline at T1-1 live instances.
-	if len(p.dal) > p.c.T1-1 {
-		p.dal = p.dal[1:]
-	}
+	// Lines 2-3: the pipeline holds T1-1 live instances; the oldest
+	// retires once it is full.
+	p.dal.push(dSlot{ch: ch, inst: inst}, p.c.T1-1)
 
-	// SAlg sub-messages on channel 0.
-	p.ictx = *ctx
-	p.ictx.PurposeBase = instancePurpose(0)
-	start := len(buf)
-	buf = p.salg.Broadcast(&p.ictx, buf)
-	for i := start; i < len(buf); i++ {
-		buf[i].Chan = 0
-	}
-	// Each live DAlg instance on its channel.
-	for i := range p.dal {
-		s := &p.dal[i]
-		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(s.ch)
-		start = len(buf)
-		buf = s.inst.Broadcast(&p.ictx, buf)
-		for j := start; j < len(buf); j++ {
-			buf[j].Chan = s.ch
-		}
-	}
-	return buf
+	// SAlg sub-messages on channel 0, each live DAlg instance on its own.
+	buf = broadcastOn(&p.ictx, ctx, p.salg, instancePurpose(0), 0, buf)
+	return p.dal.broadcast(&p.ictx, ctx, buf)
 }
 
+// Process demultiplexes the inbox — SAlg on channel 0, the live DAlg
+// instances on the consecutive engine rounds of their starts — and runs
+// every instance on its share.
 func (p *concatProc) Process(ctx *engine.Ctx, in []engine.Incoming, deg int) {
-	// One-pass demux of the inbox: live channels are the consecutive
-	// engine rounds dal[0].ch … dal[0].ch+len(dal)-1, so the slot index
-	// is an offset — no per-instance rescan of the inbox.
-	bucks := p.demux(in)
-	p.ictx = *ctx
-	p.ictx.PurposeBase = instancePurpose(0)
-	p.salg.Process(&p.ictx, bucks[0], deg)
-	for i := range p.dal {
-		s := &p.dal[i]
-		p.ictx = *ctx
-		p.ictx.PurposeBase = dalgPurpose(s.ch)
-		s.inst.Process(&p.ictx, bucks[1+i], deg)
-		s.age++
-	}
-}
-
-// demux splits the inbox by channel into reused per-slot buffers:
-// slot 0 for SAlg, slot 1+i for dal[i].
-func (p *concatProc) demux(in []engine.Incoming) [][]engine.Incoming {
-	nb := 1 + len(p.dal)
-	for len(p.bucks) < nb {
-		p.bucks = append(p.bucks, nil)
-	}
-	bucks := p.bucks[:nb]
-	for i := range bucks {
-		bucks[i] = bucks[i][:0]
-	}
-	var base int32
-	if len(p.dal) > 0 {
-		base = p.dal[0].ch
-	}
-	for _, m := range in {
-		ch := m.M.Chan
-		if ch == 0 {
-			bucks[0] = append(bucks[0], m)
-			continue
-		}
-		if idx := int(ch - base); idx >= 0 && idx < len(p.dal) && p.dal[idx].ch == ch {
-			bucks[1+idx] = append(bucks[1+idx], m)
-		}
-	}
-	return bucks
+	processRound(&p.ictx, ctx, in, deg, p.salg, 0, &p.dal)
 }
 
 // Output implements line 7 of Algorithm 1: the output of the oldest live
 // DAlg instance once it has run its full T1-1 rounds; ⊥ while the pipeline
 // is still warming up after the node's wake round.
-func (p *concatProc) Output() problems.Value {
-	if len(p.dal) == 0 {
-		return problems.Bot
-	}
-	front := &p.dal[0]
-	if front.age < p.c.T1-1 {
-		return problems.Bot
-	}
-	return front.inst.Output()
-}
+func (p *concatProc) Output() problems.Value { return p.dal.output(p.c.T1) }

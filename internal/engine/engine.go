@@ -15,8 +15,9 @@
 // The two communication phases are parallelized over edge-balanced node
 // shards (cut by cumulative degree, see parallel.go) with a barrier
 // between them. Message delivery is batched per sender: each neighbor's
-// outbox lands in the receiver's exactly-sized inbox as one contiguous
-// run.
+// outbox lands in the receiver's inbox as one contiguous run, in
+// ascending neighbor order. The inbox is one buffer per worker, reused
+// for every node the worker processes, so it stays cache-resident.
 //
 // # Determinism contract
 //
@@ -83,7 +84,9 @@
 // be retained longer. RoundInfo.Retain is the one sanctioned way to hold
 // a whole round past those lifetimes. Inside algorithm callbacks,
 // Broadcast's buf and Process's inbox are likewise engine-owned scratch,
-// valid only for the duration of the call.
+// valid only for the duration of the call: the inbox is the processing
+// worker's buffer and is overwritten by the next node that worker
+// processes.
 //
 // The per-round topologies come from an adversary (internal/adversary).
 package engine
@@ -140,7 +143,11 @@ type NodeProc interface {
 	// returns it. Returning an empty slice means the node stays silent.
 	Broadcast(ctx *Ctx, buf []SubMsg) []SubMsg
 	// Process handles the inbox (all sub-messages broadcast by current
-	// neighbors this round) and the node's degree in G_r.
+	// neighbors this round) and the node's degree in G_r. The inbox is
+	// grouped by sender, senders in ascending id order, each sender's
+	// sub-messages in its Broadcast order; algorithms may rely on this
+	// (the intersection-graph filters in internal/core merge-walk it). It
+	// is call-scoped worker scratch and must not be retained.
 	Process(ctx *Ctx, in []Incoming, deg int)
 	// Output returns the node's current output (Bot for ⊥).
 	Output() problems.Value
@@ -336,7 +343,7 @@ type Engine struct {
 	awake    []bool
 	wakeRnd  []int
 	outbox   [][]SubMsg
-	inbox    [][]Incoming
+	inbox    [][]Incoming       // per-worker Process inbox scratch
 	snaps    [][]problems.Value // ring of pooled output snapshots
 	infos    []RoundInfo        // ring of pooled RoundInfo headers, same lifetime
 	lag      int
@@ -357,6 +364,7 @@ type Engine struct {
 	drops      [][]graph.NodeID // per-worker drop shards
 	cuts       []int            // active-list shard-cut scratch
 	pool       *phasePool       // persistent phase workers (lazy)
+	poolGuard  *poolGuard       // finalizer hook that stops pool (see ensurePool)
 
 	// Per-Step state read by the prebuilt sparse phase callbacks. The
 	// callbacks are built once in New — a closure literal inside Step
@@ -418,7 +426,7 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		awake:    make([]bool, cfg.N),
 		wakeRnd:  make([]int, cfg.N),
 		outbox:   make([][]SubMsg, cfg.N),
-		inbox:    make([][]Incoming, cfg.N),
+		inbox:    make([][]Incoming, workers),
 		snaps:    make([][]problems.Value, lag+1),
 		infos:    make([]RoundInfo, lag+1),
 		lag:      lag,
@@ -767,9 +775,10 @@ func (e *Engine) sparseBroadcast(ctx *Ctx, _ int, v graph.NodeID) (int, int64) {
 // snapshot, diff and quiesce, fused per node. Delivery is one pass of
 // appends — each neighbor's outbox header is a random read into a
 // node-indexed array, so a separate sizing pass would double the cache
-// misses; the inbox keeps its high-water capacity across rounds, so the
-// appends stop allocating once the round mix is steady. (Dropped
-// neighbors' outboxes are empty by contract and by applyDrops.)
+// misses; the worker's inbox keeps its high-water capacity across nodes
+// and rounds, so the appends stop allocating once the round mix is
+// steady. (Dropped neighbors' outboxes are empty by contract and by
+// applyDrops.)
 func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 	if e.quiet[v] > 0 {
 		// Grace fast path: a quiescent node's output is frozen regardless
@@ -784,14 +793,14 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		return 0, 0
 	}
 	nbrs := e.adj.Neighbors(v)
-	in := e.inbox[v][:0]
+	in := e.inbox[w][:0]
 	for _, u := range nbrs {
 		run := e.outbox[u]
 		for i := range run {
 			in = append(in, Incoming{From: u, M: run[i]})
 		}
 	}
-	e.inbox[v] = in
+	e.inbox[w] = in
 	*ctx = Ctx{Node: v, Round: e.stepRound, Seed: e.cfg.Seed}
 	e.states[v].Process(ctx, in, len(nbrs))
 	val := e.states[v].Output()
@@ -856,7 +865,7 @@ func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.Edge
 		for _, u := range g.Neighbors(v) {
 			need += len(e.outbox[u])
 		}
-		in := e.inbox[v]
+		in := e.inbox[w]
 		if cap(in) < need {
 			in = make([]Incoming, need)
 		} else {
@@ -874,7 +883,7 @@ func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.Edge
 			}
 			pos += len(run)
 		}
-		e.inbox[v] = in
+		e.inbox[w] = in
 		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
 		e.states[v].Process(ctx, in, g.Degree(v))
 		val := e.states[v].Output()

@@ -142,8 +142,11 @@ func (e *Engine) runPhase(list []graph.NodeID, fn phaseFunc) (int, int64) {
 // The pool must not keep the Engine reachable while idle — fn (which
 // captures the engine) and list are cleared after every phase, and the
 // remaining fields alias engine-owned backing arrays without referencing
-// the Engine itself — so an abandoned Engine is collectable and its
-// finalizer shuts the workers down by closing the work channels.
+// the Engine itself — so an abandoned Engine is collectable. The
+// shutdown finalizer sits on a poolGuard that only the Engine points to,
+// not on the Engine: the Engine is part of reference cycles (its pooled
+// RoundInfo headers point back at it), and a finalizer on an object in a
+// cycle never runs.
 type phasePool struct {
 	acc  []workerAcc
 	cuts []int
@@ -165,10 +168,16 @@ func (e *Engine) ensurePool() *phasePool {
 			go p.worker(w)
 		}
 		e.pool = p
-		runtime.SetFinalizer(e, func(e *Engine) { e.pool.shutdown() })
+		e.poolGuard = &poolGuard{p: p}
+		runtime.SetFinalizer(e.poolGuard, func(g *poolGuard) { g.p.shutdown() })
 	}
 	return e.pool
 }
+
+// poolGuard carries the phase pool's shutdown finalizer. Only the Engine
+// references it, so it becomes unreachable exactly when the Engine does;
+// it must never point back at the Engine.
+type poolGuard struct{ p *phasePool }
 
 func (p *phasePool) shutdown() {
 	for _, c := range p.work {
