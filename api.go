@@ -487,14 +487,14 @@ func UniformRandomSchedule(n, maxRound int, seed uint64) []int {
 	return adversary.UniformRandomSchedule(n, maxRound, seed)
 }
 
-// NewTDynamicChecker verifies T-dynamic solutions round by round. Inside
-// an engine OnRound observer, feed it with Feed(info.Delta()): the
-// checker then maintains violation state purely from the engine's
-// round-delta plane — no graph materialization, no O(|E_r|) edge scan
-// and no O(n) output scan, so a verified round costs O(changes).
-// ObserveChanged (graph-fed window) and Observe (additionally self-diffs
-// the outputs) remain as fallbacks for topologies or outputs produced
-// outside the engine.
+// NewTDynamicChecker verifies T-dynamic solutions round by round. Feed it
+// every round's delta view, inside an engine OnRound observer
+// Feed(info.Delta()): the checker maintains violation state purely from
+// the engine's round-delta plane — no graph materialization, no O(|E_r|)
+// edge scan and no O(n) output scan, so a verified round costs
+// O(changes). Topologies or outputs produced outside the engine are fed
+// the same way, as a RoundDelta whose edge diff is the sorted difference
+// of consecutive graphs' EdgeKeys (one linear merge).
 func NewTDynamicChecker(p Problem, t, n int) *TDynamicChecker {
 	return verify.NewTDynamic(p, t, n)
 }

@@ -230,10 +230,17 @@ func BenchmarkAblationWindowIncremental(b *testing.B) {
 		graphs[i] = graph.GNP(n, 6.0/n, s)
 	}
 	b.Run("incremental", func(b *testing.B) {
+		// The graphs arrive whole, so the round's edge diff is recovered
+		// on the caller side with one merge against the previous graph.
 		w := dyngraph.NewWindow(T, n)
-		w.Observe(graphs[0], adversary.AllNodes(n))
+		w.ObserveEdgeDelta(graphs[0].EdgeKeys(), nil, adversary.AllNodes(n))
+		prev := graphs[0]
+		var adds, removes []graph.EdgeKey
 		for i := 0; i < b.N; i++ {
-			w.Observe(graphs[i%len(graphs)], nil)
+			g := graphs[i%len(graphs)]
+			adds, removes = graph.DiffSortedKeys(prev.EdgeKeys(), g.EdgeKeys(), adds[:0], removes[:0])
+			prev = g
+			w.ObserveEdgeDelta(adds, removes, nil)
 			_ = w.IntersectionGraph()
 			_ = w.UnionGraph()
 		}
@@ -456,196 +463,15 @@ func BenchmarkCombinedColoringRound(b *testing.B) {
 	b.ReportMetric(float64(n), "nodes")
 }
 
-// BenchmarkTDynamicChecker measures the verification overhead per round at
-// N=4096 under steady churn, in four modes: the self-diffing incremental
-// checker (O(n) output scan per round), the changed-feed checker driven by
-// a precomputed round-delta list as the engine supplies via
-// RoundInfo.Changed (graph-fed window, no output scan), the delta-feed
-// checker driven by the full round-delta plane — topology diff plus
-// changed list, no graph at all (ObserveDeltas, O(changes) per round) —
-// and the materializing oracle (per-round G^∩T/G^∪T CSR rebuild + full
-// CheckFull rescans). incremental-vs-oracle is the headline of the PR 2
-// incremental pipeline; delta-feed-vs-changed-feed isolates the O(|E_r|)
-// window merge the delta-native topology plane removed.
-func BenchmarkTDynamicChecker(b *testing.B) {
-	const n = 4096
-	const T = 16
-	const cycle = 48
-	base := GNP(n, 8.0/float64(n), 5)
-	// Pre-generate a churned graph cycle (toggle 32 random node pairs per
-	// round) and a drifting output schedule so both checkers process real
-	// topology and output deltas every round without generator cost inside
-	// the timed loop.
-	s := prf.NewStream(17, 0, 0, prf.PurposeWorkload)
-	graphs := make([]*graph.Graph, cycle)
-	outs := make([][]problems.Value, cycle)
-	bld := graph.NewBuilder(n)
-	base.EachEdge(func(u, v graph.NodeID) { bld.AddEdge(u, v) })
-	for i := range graphs {
-		for j := 0; j < 32; j++ {
-			u := graph.NodeID(s.Intn(n))
-			v := graph.NodeID(s.Intn(n))
-			if u == v {
-				continue
-			}
-			if bld.HasEdge(u, v) {
-				bld.RemoveEdge(u, v)
-			} else {
-				bld.AddEdge(u, v)
-			}
-		}
-		graphs[i] = bld.Graph()
-	}
-	// Output schedule: a greedy coloring of the footprint (union of all
-	// cycle graphs), churned by properly recoloring 32 random nodes per
-	// round. Properness w.r.t. the footprint implies properness on every
-	// window intersection graph, so — like a converged run of the real
-	// algorithms — rounds are (near-)violation-free and the benchmark
-	// measures checking cost, not violation-report formatting.
-	foot := graphs[0]
-	for _, g := range graphs[1:] {
-		foot = graph.Union(foot, g)
-	}
-	recolor := func(out []problems.Value, v graph.NodeID) {
-		used := make(map[problems.Value]bool)
-		for _, u := range foot.Neighbors(v) {
-			used[out[u]] = true
-		}
-		for c := problems.Value(1); ; c++ {
-			if !used[c] {
-				out[v] = c
-				return
-			}
-		}
-	}
-	out := make([]problems.Value, n)
-	for v := 0; v < n; v++ {
-		recolor(out, graph.NodeID(v))
-	}
-	for i := range outs {
-		for j := 0; j < 32; j++ {
-			recolor(out, graph.NodeID(s.Intn(n)))
-		}
-		outs[i] = append([]problems.Value(nil), out...)
-	}
-	// Ping-pong through the cycle so every step — including the wrap — is
-	// exactly one 32-toggle/32-recolor delta; a plain modulo wrap from
-	// graphs[cycle-1] back to graphs[0] would inject one ~47×-churn round
-	// per cycle and skew the incremental path's steady-state numbers.
-	order := make([]int, 0, 2*cycle-2)
-	for i := 0; i < cycle; i++ {
-		order = append(order, i)
-	}
-	for i := cycle - 2; i >= 1; i-- {
-		order = append(order, i)
-	}
-	// changedInto[k] is the output diff over the transition into position
-	// k of the ping-pong order (from position (k-1+L)%L) — what the
-	// engine's RoundInfo.Changed feed would carry. The first observation
-	// of a run diffs against the all-⊥ initial state instead.
-	diffOuts := func(a, b []problems.Value) []graph.NodeID {
-		var d []graph.NodeID
-		for i := range b {
-			if a[i] != b[i] {
-				d = append(d, graph.NodeID(i))
-			}
-		}
-		return d
-	}
-	changedInto := make([][]graph.NodeID, len(order))
-	for k := range order {
-		prev := order[(k-1+len(order))%len(order)]
-		changedInto[k] = diffOuts(outs[prev], outs[order[k]])
-	}
-	firstChanged := diffOuts(make([]problems.Value, n), outs[0])
-	// addsInto/removesInto mirror changedInto on the topology side: the
-	// edge diff over the transition into each ping-pong position, i.e.
-	// what RoundInfo.EdgeAdds/EdgeRemoves would carry.
-	addsInto := make([][]graph.EdgeKey, len(order))
-	removesInto := make([][]graph.EdgeKey, len(order))
-	for k := range order {
-		prev := order[(k-1+len(order))%len(order)]
-		addsInto[k], removesInto[k] = graph.DiffSortedKeys(
-			graphs[prev].EdgeKeys(), graphs[order[k]].EdgeKeys(), nil, nil)
-	}
-	wake := AllNodes(n)
-	for _, mode := range []struct {
-		name  string
-		mk    func() *verify.TDynamic
-		first func(chk *verify.TDynamic)
-		obs   func(chk *verify.TDynamic, k int)
-	}{
-		{
-			// Self-diffing path: the checker finds the output changes with
-			// its own O(n) scan.
-			name: "incremental",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamic(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.Observe(graphs[0], wake, outs[0])
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.Observe(graphs[order[k]], nil, outs[order[k]])
-			},
-		},
-		{
-			// Round-delta plane: the caller supplies the changed-node list
-			// (as the engine does via RoundInfo.Changed) — no scan at all.
-			name: "changed-feed",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamic(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.ObserveChanged(graphs[0], wake, outs[0], firstChanged)
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.ObserveChanged(graphs[order[k]], nil, outs[order[k]], changedInto[k])
-			},
-		},
-		{
-			// Full round-delta plane: topology and output diffs both
-			// caller-supplied (as the engine does via RoundInfo) — no
-			// graph, no edge merge, no output scan.
-			name: "delta-feed",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamic(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.ObserveDeltas(graphs[0].EdgeKeys(), nil, wake, outs[0], firstChanged)
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.ObserveDeltas(addsInto[k], removesInto[k], nil, outs[order[k]], changedInto[k])
-			},
-		},
-		{
-			name: "oracle",
-			mk:   func() *verify.TDynamic { return verify.NewTDynamicOracle(problems.Coloring(), T, n) },
-			first: func(chk *verify.TDynamic) {
-				chk.Observe(graphs[0], wake, outs[0])
-			},
-			obs: func(chk *verify.TDynamic, k int) {
-				chk.Observe(graphs[order[k]], nil, outs[order[k]])
-			},
-		},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			chk := mode.mk()
-			mode.first(chk)
-			for k := 1; k < len(order); k++ { // fill the window before timing
-				mode.obs(chk, k)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mode.obs(chk, i%len(order))
-			}
-		})
-	}
-}
-
 // BenchmarkTopologyDelta is the scan-vs-delta matrix of the topology
 // plane (recorded as BENCH_<date>-topo.json via `BENCH=BenchmarkTopologyDelta
 // LABEL=-topo scripts/bench.sh`): N ∈ {4096, 65536} × churn ∈ {low, high}
 // toggled edges per round, feeding the same schedule into a T-dynamic
 // sliding window two ways. "scan" is the pre-delta pipeline's per-round
 // topology cost — materialize the round's CSR graph from its edge list,
-// then let the window recover the diff by merging consecutive edge lists
-// (Window.Observe) — while "delta" hands the window the sorted diff
-// directly (Window.ObserveEdgeDelta), the feed the engine's
+// then recover the diff by merging consecutive edge lists
+// (graph.DiffSortedKeys) before feeding the window — while "delta" hands
+// the window the sorted diff directly, the feed the engine's
 // RoundInfo.EdgeAdds/EdgeRemoves supplies. The delta feed's cost scales
 // with churn volume only, so the gap widens with n at fixed churn: the
 // headline cell is N=65536/low, where per-round work drops from one
@@ -662,7 +488,7 @@ func BenchmarkTopologyDelta(b *testing.B) {
 			{"high", n / 16},
 		} {
 			// Pre-generate a ping-pong schedule of consistent rounds:
-			// edge-list snapshots for the scan feed, sorted diffs for the
+			// edge-list snapshots for the scan cells, sorted diffs for the
 			// delta feed. The ping-pong makes every transition — including
 			// the wrap — exactly one churn-rate delta.
 			s := prf.NewStream(uint64(n+churn.rate), 0, 0, prf.PurposeWorkload)
@@ -722,14 +548,20 @@ func BenchmarkTopologyDelta(b *testing.B) {
 			all := adversary.AllNodes(n)
 			b.Run(fmt.Sprintf("N=%d/churn=%s/scan", n, churn.name), func(b *testing.B) {
 				w := dyngraph.NewWindow(T, n)
-				w.Observe(graph.FromSortedEdges(n, startKeys), all)
+				var prev, adds, removes []graph.EdgeKey
+				scan := func(keys []graph.EdgeKey, wake []graph.NodeID) {
+					g := graph.FromSortedEdges(n, keys)
+					adds, removes = graph.DiffSortedKeys(prev, g.EdgeKeys(), adds[:0], removes[:0])
+					prev = append(prev[:0], g.EdgeKeys()...)
+					w.ObserveEdgeDelta(adds, removes, wake)
+				}
+				scan(startKeys, all)
 				for k := 0; k < len(rounds); k++ { // fill the window before timing
-					w.Observe(graph.FromSortedEdges(n, rounds[k].keys), nil)
+					scan(rounds[k].keys, nil)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r := &rounds[i%len(rounds)]
-					w.Observe(graph.FromSortedEdges(n, r.keys), nil)
+					scan(rounds[i%len(rounds)].keys, nil)
 				}
 			})
 			b.Run(fmt.Sprintf("N=%d/churn=%s/delta", n, churn.name), func(b *testing.B) {

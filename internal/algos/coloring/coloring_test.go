@@ -390,7 +390,7 @@ func TestColoringConcatTDynamicEveryRound(t *testing.T) {
 	chk := verify.NewTDynamic(problems.Coloring(), combined.T1, n)
 	invalid := 0
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
+		rep := chk.Feed(info.Delta())
 		if !rep.Valid() {
 			invalid++
 		}

@@ -389,7 +389,7 @@ func TestMISConcatTDynamicEveryRound(t *testing.T) {
 	invalid := 0
 	var firstBad string
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
+		rep := chk.Feed(info.Delta())
 		if !rep.Valid() {
 			invalid++
 			if firstBad == "" {
@@ -496,7 +496,7 @@ func TestChainedMISTDynamicEveryRound(t *testing.T) {
 	invalid := 0
 	var first string
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
+		rep := chk.Feed(info.Delta())
 		if !rep.Valid() {
 			invalid++
 			if first == "" {
@@ -571,9 +571,14 @@ func TestChainedMISMidPipelineFreshness(t *testing.T) {
 	// Workers: 1 so the probe needs no synchronization.
 	e := engine.New(engine.Config{N: n, Seed: 79, Workers: 1}, adv, chained)
 	chk := verify.NewTDynamic(problems.MIS(), midW, n)
+	prevMid := make([]problems.Value, n)
 	invalid, counted := 0, 0
 	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, midOut)
+		// The engine's changed feed tracks the outer outputs; the mid
+		// layer's vector is diffed here.
+		d := info.Delta()
+		d.Outputs, d.Changed = midOut, outputDiff(prevMid, midOut)
+		rep := chk.Feed(d)
 		if info.Round > 2*chained.T1 {
 			counted++
 			if !rep.Valid() {
@@ -591,6 +596,19 @@ func TestChainedMISMidPipelineFreshness(t *testing.T) {
 	if frac := float64(invalid) / float64(counted); frac > 0.2 {
 		t.Fatalf("mid-layer invalid fraction %.2f against window %d", frac, midW)
 	}
+}
+
+// outputDiff returns, ascending, the nodes whose entry in out differs
+// from prev, and copies out into prev.
+func outputDiff(prev, out []problems.Value) []graph.NodeID {
+	var changed []graph.NodeID
+	for i, val := range out {
+		if val != prev[i] {
+			changed = append(changed, graph.NodeID(i))
+			prev[i] = val
+		}
+	}
+	return changed
 }
 
 // --- Clairvoyant adversary (remark after Lemma 5.2) ----------------------

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/ckpt"
@@ -48,8 +50,10 @@ func wakeList(n, round int) []graph.NodeID {
 // TestWindowCheckpointRoundTrip drives a window to round k, serializes
 // it, restores into a fresh window and requires every subsequent Delta,
 // membership query and materialized graph to match the uninterrupted
-// window — for both feed styles and window sizes including the T=1
-// boundary.
+// window — for window sizes including the T=1 boundary, with the diffs
+// either taken from the schedule ("delta") or recovered on the caller
+// side from consecutive round graphs ("scan"), whose previous-graph state
+// lives with the caller, not in the checkpoint.
 func TestWindowCheckpointRoundTrip(t *testing.T) {
 	const n = 32
 	const rounds = 20
@@ -77,14 +81,17 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 						stats Stats
 					}
 					var tailRef []roundData
+					var prevKeys []graph.EdgeKey
+					feed := func(w *Window, adds, removes []graph.EdgeKey, g *graph.Graph, r int) *Delta {
+						if mode == "scan" {
+							adds, removes = graph.DiffSortedKeys(prevKeys, g.EdgeKeys(), nil, nil)
+						}
+						prevKeys = slices.Clone(g.EdgeKeys())
+						return w.ObserveEdgeDelta(adds, removes, wakeList(n, r))
+					}
 					for r := 1; r <= rounds; r++ {
 						adds, removes, g := sched.round(randomToggles(sched, 7, r))
-						var d *Delta
-						if mode == "delta" {
-							d = ref.ObserveEdgeDelta(adds, removes, wakeList(n, r))
-						} else {
-							d = ref.ObserveDelta(g, wakeList(n, r))
-						}
+						d := feed(ref, adds, removes, g, r)
 						if r > k {
 							tailRef = append(tailRef, roundData{copyDelta(d), ref.Stats()})
 						}
@@ -103,17 +110,14 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 						t.Fatalf("restored round %d, want %d", res.Round(), k)
 					}
 					sched2 := newDeltaSchedule(n)
+					prevKeys = nil
 					for r := 1; r <= rounds; r++ {
 						adds, removes, g := sched2.round(randomToggles(sched2, 7, r))
 						if r <= k {
+							prevKeys = slices.Clone(g.EdgeKeys())
 							continue // schedule replay only; window starts at k
 						}
-						var d *Delta
-						if mode == "delta" {
-							d = res.ObserveEdgeDelta(adds, removes, wakeList(n, r))
-						} else {
-							d = res.ObserveDelta(g, wakeList(n, r))
-						}
+						d := feed(res, adds, removes, g, r)
 						got := roundData{copyDelta(d), res.Stats()}
 						want := tailRef[r-k-1]
 						if !reflect.DeepEqual(got.d, want.d) {
@@ -192,6 +196,47 @@ func TestWindowLoadStateRejects(t *testing.T) {
 	for cut := 0; cut < len(ck); cut += 13 {
 		if err := load(NewWindow(3, n), ck[:cut]); err == nil {
 			t.Fatalf("restore of %d-byte prefix succeeded", cut)
+		}
+	}
+
+	// Hand-written section heads whose feed byte disagrees with the
+	// round: the byte is 0 exactly at round 0 and 2 afterwards; 1 marks
+	// a graph-fed window, whose scan state a window cannot resume.
+	handWritten := func(tag uint64, round, feed int) []byte {
+		var buf bytes.Buffer
+		cw := ckpt.NewWriter(&buf)
+		cw.Section(tag)
+		if tag == tagWindow {
+			cw.Int(3)
+			cw.Int(n)
+		}
+		cw.Int(round)
+		cw.Int(feed)
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	badFeeds := []struct{ round, feed int }{{1, 1}, {5, 1}, {0, 1}, {0, 2}, {5, 0}, {5, 3}}
+	for _, row := range badFeeds {
+		err := load(NewWindow(3, n), handWritten(tagWindow, row.round, row.feed))
+		if err == nil || !strings.Contains(err.Error(), "feed byte") {
+			t.Fatalf("round %d feed byte %d: restore error %v", row.round, row.feed, err)
+		}
+	}
+	base := NewWindow(3, n)
+	if err := load(base, ck); err != nil {
+		t.Fatal(err)
+	}
+	base.NoteCheckpoint()
+	for _, row := range badFeeds {
+		if row.round < base.Round() {
+			continue
+		}
+		r := ckpt.NewReader(bytes.NewReader(handWritten(tagWindowDelta, row.round, row.feed)))
+		base.LoadDelta(r)
+		if err := r.Err(); err == nil || !strings.Contains(err.Error(), "feed byte") {
+			t.Fatalf("delta round %d feed byte %d: restore error %v", row.round, row.feed, err)
 		}
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"dynlocal/internal/graph"
 )
 
-// The delta feed (ObserveEdgeDelta) must be bit-identical to the scan feed
-// (Observe over full graphs), which in turn is pinned against the direct
-// Definition 2.1 computation by the tests in window_test.go. These tests
-// drive both feeds over identical schedules — including staggered
-// wake-ups, T boundary rounds and edges flapping on the expiry boundary —
-// and compare every emitted Delta, the membership queries, the
-// materialized graphs and the stats.
+// The delta feed (ObserveEdgeDelta) must match the direct Definition 2.1
+// computation (directWindows) over schedules with staggered wake-ups, T
+// boundary rounds and edges flapping on the expiry boundary: the
+// materialized window graphs and core every round, and the emitted Deltas
+// must fold back into exactly those sets (deltaMirror).
 
 // deltaSchedule maintains a mutable edge set over awake nodes and yields
 // consistent (adds, removes, graph) rounds.
@@ -79,21 +77,51 @@ func copyDelta(d *Delta) Delta {
 	}
 }
 
-func diffWindows(t *testing.T, round int, scan, delta *Window) {
-	t.Helper()
-	if !scan.IntersectionGraph().Equal(delta.IntersectionGraph()) {
-		t.Fatalf("round %d: intersection graphs diverge", round)
+// directCheck follows a delta-fed window alongside the Definition 2.1
+// reference: it records every round graph and wake round and compares the
+// window's materialized graphs and core with directWindows and the wake
+// history, and the emitted Delta with the folded-sets mirror.
+type directCheck struct {
+	t       int
+	history []*graph.Graph
+	wokeAt  []int
+	mirror  *deltaMirror
+}
+
+func newDirectCheck(t, n int) *directCheck {
+	return &directCheck{t: t, wokeAt: make([]int, n), mirror: newDeltaMirror()}
+}
+
+func (c *directCheck) round(tb testing.TB, w *Window, d *Delta, g *graph.Graph, wake []graph.NodeID) {
+	tb.Helper()
+	c.history = append(c.history, g)
+	r := len(c.history)
+	if d.Round != r {
+		tb.Fatalf("delta round %d, want %d", d.Round, r)
 	}
-	if !scan.UnionGraph().Equal(delta.UnionGraph()) {
-		t.Fatalf("round %d: union graphs diverge", round)
+	for _, v := range wake {
+		if c.wokeAt[v] == 0 {
+			c.wokeAt[v] = r
+		}
 	}
-	if scan.Stats() != delta.Stats() {
-		t.Fatalf("round %d: stats diverge: %+v vs %+v", round, scan.Stats(), delta.Stats())
+	wantInter, wantUnion := directWindows(c.history, c.t)
+	if !w.IntersectionGraph().Equal(wantInter) {
+		tb.Fatalf("round %d: intersection graph diverges from Definition 2.1", r)
 	}
-	sc, dc := scan.CoreNodes(), delta.CoreNodes()
-	if !reflect.DeepEqual(sc, dc) {
-		t.Fatalf("round %d: core %v vs %v", round, sc, dc)
+	if !w.UnionGraph().Equal(wantUnion) {
+		tb.Fatalf("round %d: union graph diverges from Definition 2.1", r)
 	}
+	var wantCore []graph.NodeID
+	for v, at := range c.wokeAt {
+		if at != 0 && at <= r-c.t+1 {
+			wantCore = append(wantCore, graph.NodeID(v))
+		}
+	}
+	if got := w.CoreNodes(); !reflect.DeepEqual(got, wantCore) {
+		tb.Fatalf("round %d: core %v, want %v", r, got, wantCore)
+	}
+	c.mirror.apply(tb, d)
+	c.mirror.check(tb, w)
 }
 
 // TestWindowDeltaFeedMatchesScanFeed crosses window sizes (including the
@@ -105,8 +133,8 @@ func TestWindowDeltaFeedMatchesScanFeed(t *testing.T) {
 			const n = 20
 			s := wstream(uint64(40 + T))
 			sched := newDeltaSchedule(n)
-			scan := NewWindow(T, n)
-			delta := NewWindow(T, n)
+			w := NewWindow(T, n)
+			ref := newDirectCheck(T, n)
 			for round := 1; round <= 6*T+12; round++ {
 				// Wake four nodes per round until all are awake — core
 				// arrivals then straddle several T boundaries.
@@ -127,12 +155,7 @@ func TestWindowDeltaFeedMatchesScanFeed(t *testing.T) {
 					}
 				}
 				adds, removes, g := sched.round(toggles)
-				ds := copyDelta(scan.ObserveDelta(g, wake))
-				dd := copyDelta(delta.ObserveEdgeDelta(adds, removes, wake))
-				if !reflect.DeepEqual(ds, dd) {
-					t.Fatalf("round %d: deltas diverge\nscan  %+v\ndelta %+v", round, ds, dd)
-				}
-				diffWindows(t, round, scan, delta)
+				ref.round(t, w, w.ObserveEdgeDelta(adds, removes, wake), g, wake)
 			}
 		})
 	}
@@ -153,8 +176,8 @@ func TestWindowDeltaFeedExpiryBoundary(t *testing.T) {
 	}
 	// Pattern: on, off, on, off, off, off (expire), on, on, on (inter).
 	pattern := []bool{true, false, true, false, false, false, true, true, true, true}
-	scan := NewWindow(T, n)
-	delta := NewWindow(T, n)
+	w := NewWindow(T, n)
+	ref := newDirectCheck(T, n)
 	prevOn := false
 	for i, on := range pattern {
 		wake := []graph.NodeID{}
@@ -172,25 +195,8 @@ func TestWindowDeltaFeedExpiryBoundary(t *testing.T) {
 			adds, removes = addsOf(on)
 		}
 		prevOn = on
-		ds := copyDelta(scan.ObserveDelta(g, wake))
-		dd := copyDelta(delta.ObserveEdgeDelta(adds, removes, wake))
-		if !reflect.DeepEqual(ds, dd) {
-			t.Fatalf("step %d: deltas diverge\nscan  %+v\ndelta %+v", i+1, ds, dd)
-		}
-		diffWindows(t, i+1, scan, delta)
+		ref.round(t, w, w.ObserveEdgeDelta(adds, removes, wake), g, wake)
 	}
-}
-
-// TestWindowFeedModeMixingPanics pins the one-feed-per-window contract.
-func TestWindowFeedModeMixingPanics(t *testing.T) {
-	w := NewWindow(2, 4)
-	w.Observe(graph.Empty(4), []graph.NodeID{0, 1, 2, 3})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when mixing feeds")
-		}
-	}()
-	w.ObserveEdgeDelta(nil, nil, nil)
 }
 
 // TestWindowDeltaFeedValidation pins the delta feed's input checks.
@@ -233,9 +239,9 @@ func TestWindowDeltaFeedValidation(t *testing.T) {
 }
 
 // FuzzWindowDeltaFeed interprets fuzz bytes as a toggle/wake schedule over
-// a small universe and requires the delta feed to agree with the scan feed
-// on every emitted Delta and on the materialized windows, for fuzzer-chosen
-// window sizes.
+// a small universe and requires the delta-fed window to agree with the
+// Definition 2.1 reference on the materialized windows and core, and its
+// emitted Deltas to fold back into them, for fuzzer-chosen window sizes.
 func FuzzWindowDeltaFeed(f *testing.F) {
 	f.Add(uint8(3), []byte{0x01, 0x12, 0x23, 0x05, 0x12, 0xff, 0x30})
 	f.Add(uint8(1), []byte{0x10, 0x10, 0x10})
@@ -244,8 +250,8 @@ func FuzzWindowDeltaFeed(f *testing.F) {
 		const n = 8
 		T := int(tRaw%8) + 1
 		sched := newDeltaSchedule(n)
-		scan := NewWindow(T, n)
-		delta := NewWindow(T, n)
+		w := NewWindow(T, n)
+		ref := newDirectCheck(T, n)
 		pos := 0
 		for round := 1; round <= 24 && pos < len(data); round++ {
 			var wake []graph.NodeID
@@ -266,15 +272,7 @@ func FuzzWindowDeltaFeed(f *testing.F) {
 				toggles = append(toggles, graph.MakeEdgeKey(u, v))
 			}
 			adds, removes, g := sched.round(toggles)
-			ds := copyDelta(scan.ObserveDelta(g, wake))
-			dd := copyDelta(delta.ObserveEdgeDelta(adds, removes, wake))
-			if !reflect.DeepEqual(ds, dd) {
-				t.Fatalf("round %d: deltas diverge\nscan  %+v\ndelta %+v", round, ds, dd)
-			}
-			if !scan.IntersectionGraph().Equal(delta.IntersectionGraph()) ||
-				!scan.UnionGraph().Equal(delta.UnionGraph()) {
-				t.Fatalf("round %d: materialized windows diverge", round)
-			}
+			ref.round(t, w, w.ObserveEdgeDelta(adds, removes, wake), g, wake)
 		}
 	})
 }

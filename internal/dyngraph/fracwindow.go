@@ -42,9 +42,9 @@ func (w *FracWindow) T() int { return w.t }
 func (w *FracWindow) Round() int { return w.round }
 
 // Observe advances the window with the round graph g and newly awake nodes.
-// As for Window.Observe, edges incident to nodes that have never been woken
-// are rejected with a panic: the model only allows edges between awake
-// nodes.
+// As for Window.ObserveEdgeDelta, edges incident to nodes that have never
+// been woken are rejected with a panic: the model only allows edges
+// between awake nodes.
 func (w *FracWindow) Observe(g *graph.Graph, wakeNow []graph.NodeID) {
 	if g.N() != w.n {
 		panic("dyngraph: graph node space does not match frac window")

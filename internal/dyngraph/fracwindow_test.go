@@ -70,6 +70,7 @@ func TestFracWindowDeltaOneEqualsIntersection(t *testing.T) {
 		s := wstream(uint64(seed))
 		fw := NewFracWindow(T, n)
 		w := NewWindow(T, n)
+		observe := graphFeeder(w)
 		for round := 1; round <= 12; round++ {
 			g := graph.GNP(n, 0.25, s)
 			var wake []graph.NodeID
@@ -77,7 +78,7 @@ func TestFracWindowDeltaOneEqualsIntersection(t *testing.T) {
 				wake = allNodes(n)
 			}
 			fw.Observe(g.Clone(), wake)
-			w.Observe(g, wake)
+			observe(g, wake)
 			if !fw.Graph(1.0).Equal(w.IntersectionGraph()) {
 				return false
 			}
@@ -96,6 +97,7 @@ func TestFracWindowSmallDeltaEqualsUnion(t *testing.T) {
 	s := wstream(123)
 	fw := NewFracWindow(T, n)
 	w := NewWindow(T, n)
+	observe := graphFeeder(w)
 	for round := 1; round <= 15; round++ {
 		g := graph.GNP(n, 0.2, s)
 		var wake []graph.NodeID
@@ -103,7 +105,7 @@ func TestFracWindowSmallDeltaEqualsUnion(t *testing.T) {
 			wake = allNodes(n)
 		}
 		fw.Observe(g.Clone(), wake)
-		w.Observe(g, wake)
+		observe(g, wake)
 		if !fw.Graph(0.01).Equal(w.UnionGraph()) {
 			t.Fatalf("round %d: δ→0 graph differs from union", round)
 		}

@@ -20,6 +20,18 @@ func allNodes(n int) []graph.NodeID {
 	return out
 }
 
+// graphFeeder returns a function that advances w to the next round graph,
+// diffing it against the previous one on the caller side — the way a
+// caller holding only whole round graphs drives a window.
+func graphFeeder(w *Window) func(g *graph.Graph, wake []graph.NodeID) *Delta {
+	var prev []graph.EdgeKey
+	return func(g *graph.Graph, wake []graph.NodeID) *Delta {
+		adds, removes := graph.DiffSortedKeys(prev, g.EdgeKeys(), nil, nil)
+		prev = append(prev[:0], g.EdgeKeys()...)
+		return w.ObserveEdgeDelta(adds, removes, wake)
+	}
+}
+
 // directWindows computes G^∩T and G^∪T from first principles
 // (Definition 2.1) given the full history of graphs (1-based rounds).
 // Round 0 is the empty graph G_0 = (∅, ∅), so for r < T the intersection
@@ -42,6 +54,7 @@ func TestWindowMatchesDefinitionDirectly(t *testing.T) {
 	const T = 4
 	s := wstream(100)
 	w := NewWindow(T, n)
+	observe := graphFeeder(w)
 	var history []*graph.Graph
 	for round := 1; round <= 20; round++ {
 		g := graph.GNP(n, 0.12, s)
@@ -49,7 +62,7 @@ func TestWindowMatchesDefinitionDirectly(t *testing.T) {
 		if round == 1 {
 			wake = allNodes(n)
 		}
-		w.Observe(g, wake)
+		observe(g, wake)
 		history = append(history, g)
 		wantInter, wantUnion := directWindows(history, T)
 		if got := w.IntersectionGraph(); !got.Equal(wantInter) {
@@ -69,6 +82,7 @@ func TestWindowMatchesDefinitionProperty(t *testing.T) {
 		n := int(nRaw%12) + 4
 		s := wstream(uint64(seed))
 		w := NewWindow(T, n)
+		observe := graphFeeder(w)
 		var history []*graph.Graph
 		for round := 1; round <= 2*T+3; round++ {
 			g := graph.GNP(n, 0.3, s)
@@ -76,7 +90,7 @@ func TestWindowMatchesDefinitionProperty(t *testing.T) {
 			if round == 1 {
 				wake = allNodes(n)
 			}
-			w.Observe(g, wake)
+			observe(g, wake)
 			history = append(history, g)
 			wantInter, wantUnion := directWindows(history, T)
 			if !w.IntersectionGraph().Equal(wantInter) || !w.UnionGraph().Equal(wantUnion) {
@@ -92,16 +106,17 @@ func TestWindowMatchesDefinitionProperty(t *testing.T) {
 
 func TestWindowMembershipQueries(t *testing.T) {
 	w := NewWindow(3, 4)
+	observe := graphFeeder(w)
 	e := func(u, v graph.NodeID) *graph.Graph {
 		return graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(u, v)})
 	}
-	w.Observe(e(0, 1), allNodes(4))
+	observe(e(0, 1), allNodes(4))
 	// Round 1 < T: window still contains the empty round 0, so the
 	// intersection is empty while the union already has the edge.
 	if w.InIntersection(0, 1) || !w.InUnion(0, 1) {
 		t.Fatal("round 1 membership wrong")
 	}
-	w.Observe(e(1, 2), nil)
+	observe(e(1, 2), nil)
 	// Round 2 < T: intersection still empty.
 	if w.InIntersection(0, 1) || !w.InUnion(0, 1) {
 		t.Fatal("round 2: {0,1} should be union-only")
@@ -109,8 +124,8 @@ func TestWindowMembershipQueries(t *testing.T) {
 	if w.InIntersection(1, 2) || !w.InUnion(1, 2) {
 		t.Fatal("round 2: {1,2} present 1 of 2 rounds")
 	}
-	w.Observe(e(1, 2), nil)
-	w.Observe(e(1, 2), nil)
+	observe(e(1, 2), nil)
+	observe(e(1, 2), nil)
 	// Round 4, window = {2,3,4}: {1,2} present in all -> intersection.
 	if !w.InIntersection(1, 2) {
 		t.Fatal("round 4: {1,2} should be in intersection")
@@ -125,11 +140,12 @@ func TestWindowMembershipQueries(t *testing.T) {
 
 func TestWindowStreakBrokenByAbsence(t *testing.T) {
 	w := NewWindow(3, 3)
+	observe := graphFeeder(w)
 	edge := graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
 	empty := graph.Empty(3)
-	w.Observe(edge, allNodes(3))
-	w.Observe(empty, nil)
-	w.Observe(edge, nil)
+	observe(edge, allNodes(3))
+	observe(empty, nil)
+	observe(edge, nil)
 	// Present rounds 1 and 3, absent 2: union yes, intersection no.
 	if w.InIntersection(0, 1) {
 		t.Fatal("broken streak still in intersection")
@@ -137,8 +153,8 @@ func TestWindowStreakBrokenByAbsence(t *testing.T) {
 	if !w.InUnion(0, 1) {
 		t.Fatal("recently present edge missing from union")
 	}
-	w.Observe(edge, nil)
-	w.Observe(edge, nil)
+	observe(edge, nil)
+	observe(edge, nil)
 	// Rounds 3,4,5 all present: back in intersection.
 	if !w.InIntersection(0, 1) {
 		t.Fatal("restored streak not in intersection")
@@ -148,16 +164,17 @@ func TestWindowStreakBrokenByAbsence(t *testing.T) {
 func TestWindowWakeTracking(t *testing.T) {
 	const T = 3
 	w := NewWindow(T, 5)
+	observe := graphFeeder(w)
 	empty := graph.Empty(5)
-	w.Observe(empty, []graph.NodeID{0, 1}) // round 1
-	w.Observe(empty, []graph.NodeID{2})    // round 2
-	w.Observe(empty, nil)                  // round 3
+	observe(empty, []graph.NodeID{0, 1}) // round 1
+	observe(empty, []graph.NodeID{2})    // round 2
+	observe(empty, nil)                  // round 3
 	// r0 = 1: core = nodes awake since round 1.
 	core := w.CoreNodes()
 	if len(core) != 2 || core[0] != 0 || core[1] != 1 {
 		t.Fatalf("core at round 3 = %v", core)
 	}
-	w.Observe(empty, nil) // round 4, r0 = 2
+	observe(empty, nil) // round 4, r0 = 2
 	if !w.InCore(2) {
 		t.Fatal("node 2 should join core at round 4")
 	}
@@ -171,12 +188,13 @@ func TestWindowWakeTracking(t *testing.T) {
 
 func TestWindowRejectsSleepingEdges(t *testing.T) {
 	w := NewWindow(2, 3)
+	observe := graphFeeder(w)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for edge touching sleeping node")
 		}
 	}()
-	w.Observe(graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}), []graph.NodeID{0, 1})
+	observe(graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}), []graph.NodeID{0, 1})
 }
 
 func TestWindowPurgeKeepsSemantics(t *testing.T) {
@@ -186,6 +204,7 @@ func TestWindowPurgeKeepsSemantics(t *testing.T) {
 	const T = 3
 	s := wstream(5)
 	w := NewWindow(T, n)
+	observe := graphFeeder(w)
 	var history []*graph.Graph
 	for round := 1; round <= 40; round++ {
 		g := graph.GNP(n, 0.1, s)
@@ -193,7 +212,7 @@ func TestWindowPurgeKeepsSemantics(t *testing.T) {
 		if round == 1 {
 			wake = allNodes(n)
 		}
-		w.Observe(g, wake)
+		observe(g, wake)
 		history = append(history, g)
 	}
 	wantInter, wantUnion := directWindows(history, T)
@@ -210,9 +229,10 @@ func TestWindowPurgeKeepsSemantics(t *testing.T) {
 
 func TestWindowStats(t *testing.T) {
 	w := NewWindow(2, 4)
+	observe := graphFeeder(w)
 	g := graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 1), graph.MakeEdgeKey(2, 3)})
-	w.Observe(g, allNodes(4))
-	w.Observe(graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}), nil)
+	observe(g, allNodes(4))
+	observe(graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}), nil)
 	st := w.Stats()
 	if st.Round != 2 || st.UnionEdges != 2 || st.IntersectionEdges != 1 || st.CoreNodes != 4 {
 		t.Fatalf("stats = %+v", st)
@@ -247,7 +267,7 @@ func newDeltaMirror() *deltaMirror {
 	}
 }
 
-func (m *deltaMirror) apply(t *testing.T, d *Delta) {
+func (m *deltaMirror) apply(t testing.TB, d *Delta) {
 	t.Helper()
 	for _, k := range d.InterAdded {
 		if m.inter[k] {
@@ -284,7 +304,7 @@ func (m *deltaMirror) apply(t *testing.T, d *Delta) {
 	}
 }
 
-func (m *deltaMirror) check(t *testing.T, w *Window) {
+func (m *deltaMirror) check(t testing.TB, w *Window) {
 	t.Helper()
 	inter, union := w.IntersectionGraph(), w.UnionGraph()
 	if inter.M() != len(m.inter) || union.M() != len(m.union) {
@@ -314,7 +334,7 @@ func (m *deltaMirror) check(t *testing.T, w *Window) {
 	}
 }
 
-// TestWindowDeltasReconstructSets drives ObserveDelta over a churn-style
+// TestWindowDeltasReconstructSets drives the window over a churn-style
 // schedule with staggered wake-ups and checks that folding the emitted
 // events reproduces the materialized window sets every round.
 func TestWindowDeltasReconstructSets(t *testing.T) {
@@ -322,6 +342,7 @@ func TestWindowDeltasReconstructSets(t *testing.T) {
 		const n = 24
 		s := wstream(uint64(200 + T))
 		w := NewWindow(T, n)
+		observe := graphFeeder(w)
 		m := newDeltaMirror()
 		awake := make([]bool, n)
 		for round := 1; round <= 4*T+10; round++ {
@@ -343,7 +364,7 @@ func TestWindowDeltasReconstructSets(t *testing.T) {
 					}
 				}
 			}
-			d := w.ObserveDelta(graph.FromSortedEdges(n, keys), wake)
+			d := observe(graph.FromSortedEdges(n, keys), wake)
 			if d.Round != round {
 				t.Fatalf("delta round = %d, want %d", d.Round, round)
 			}
@@ -360,6 +381,7 @@ func TestWindowDeltaSlicesSorted(t *testing.T) {
 	const T = 4
 	s := wstream(99)
 	w := NewWindow(T, n)
+	observe := graphFeeder(w)
 	sortedKeys := func(ks []graph.EdgeKey) bool {
 		for i := 1; i < len(ks); i++ {
 			if ks[i-1] >= ks[i] {
@@ -373,7 +395,7 @@ func TestWindowDeltaSlicesSorted(t *testing.T) {
 		if round == 1 {
 			wake = allNodes(n)
 		}
-		d := w.ObserveDelta(graph.GNP(n, 0.25, s), wake)
+		d := observe(graph.GNP(n, 0.25, s), wake)
 		for name, ks := range map[string][]graph.EdgeKey{
 			"InterAdded": d.InterAdded, "InterRemoved": d.InterRemoved,
 			"UnionAdded": d.UnionAdded, "UnionRemoved": d.UnionRemoved,
@@ -398,10 +420,11 @@ func BenchmarkWindowObserve(b *testing.B) {
 		graphs[i] = graph.GNP(n, 4.0/n, s)
 	}
 	w := NewWindow(12, n)
-	w.Observe(graphs[0], allNodes(n))
+	observe := graphFeeder(w)
+	observe(graphs[0], allNodes(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Observe(graphs[i%len(graphs)], nil)
+		observe(graphs[i%len(graphs)], nil)
 	}
 }
 
@@ -409,12 +432,13 @@ func BenchmarkWindowMaterialize(b *testing.B) {
 	const n = 2048
 	s := wstream(2)
 	w := NewWindow(12, n)
+	observe := graphFeeder(w)
 	for round := 0; round < 24; round++ {
 		var wake []graph.NodeID
 		if round == 0 {
 			wake = allNodes(n)
 		}
-		w.Observe(graph.GNP(n, 4.0/n, s), wake)
+		observe(graph.GNP(n, 4.0/n, s), wake)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -96,70 +97,9 @@ func TestTDynamicCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTDynamicOracleCheckpointRoundTrip covers the oracle checker, whose
-// checkpoint carries only window and tallies.
-func TestTDynamicOracleCheckpointRoundTrip(t *testing.T) {
-	const n = 96
-	const rounds = 24
-	const k = 9
-	mkAdv := func() adversary.Adversary {
-		base := graph.GNP(n, 5.0/float64(n), prf.NewStream(13, 0, 0, prf.PurposeWorkload))
-		return &adversary.Churn{Base: base, Add: 4, Del: 4, Seed: 3}
-	}
-	algo := mis.NewMIS(n)
-	cfg := engine.Config{N: n, Seed: 9, Workers: 1}
-	e := engine.New(cfg, mkAdv(), algo)
-	chk := NewTDynamicOracle(problems.MIS(), algo.T1, n)
-	var refReports []TDynamicReport
-	var ck []byte
-	e.OnRound(func(info *engine.RoundInfo) {
-		rep := chk.Observe(info.Graph(), info.Wake, info.Outputs)
-		if info.Round > k {
-			refReports = append(refReports, deepCopyReport(rep))
-		}
-	})
-	for r := 1; r <= rounds; r++ {
-		e.Step()
-		if r == k {
-			var buf bytes.Buffer
-			w := ckpt.NewWriter(&buf)
-			e.CheckpointTo(w)
-			chk.SaveState(w)
-			if err := w.Close(); err != nil {
-				t.Fatalf("checkpoint: %v", err)
-			}
-			ck = buf.Bytes()
-		}
-	}
-
-	algo2 := mis.NewMIS(n)
-	e2 := engine.New(cfg, mkAdv(), algo2)
-	chk2 := NewTDynamicOracle(problems.MIS(), algo2.T1, n)
-	r := ckpt.NewReader(bytes.NewReader(ck))
-	e2.RestoreFrom(r)
-	chk2.LoadState(r)
-	if err := r.Err(); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatalf("restore close: %v", err)
-	}
-	i := 0
-	e2.OnRound(func(info *engine.RoundInfo) {
-		rep := deepCopyReport(chk2.Observe(info.Graph(), info.Wake, info.Outputs))
-		if !reflect.DeepEqual(refReports[i], rep) {
-			t.Fatalf("round %d: reports diverge\nref %+v\nres %+v", info.Round, refReports[i], rep)
-		}
-		i++
-	})
-	for e2.Round() < rounds {
-		e2.Step()
-	}
-	assertTotalsEqual(t, chk, chk2)
-}
-
-// TestTDynamicLoadStateRejects pins checker restore validation: kind and
-// geometry mismatches and torn streams error out.
+// TestTDynamicLoadStateRejects pins checker restore validation: geometry
+// mismatches, torn streams, the retired oracle flag and a graph-fed
+// window section error out.
 func TestTDynamicLoadStateRejects(t *testing.T) {
 	const n = 48
 	algo := mis.NewMIS(n)
@@ -186,8 +126,54 @@ func TestTDynamicLoadStateRejects(t *testing.T) {
 		}
 		return r.Close()
 	}
-	if err := load(NewTDynamicOracle(problems.MIS(), algo.T1, n), ck); err == nil {
-		t.Fatal("restore of incremental checkpoint into oracle checker succeeded")
+	// Hand-written streams for the flags no checker writes: an oracle
+	// checkpoint, and a graph-fed window (feed byte 1), whose scan state
+	// the checker's window cannot resume.
+	handWritten := func(fields func(w *ckpt.Writer)) []byte {
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		fields(w)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	const tagWindow = 0x81 // dyngraph's window section tag
+	for _, row := range []struct {
+		name, want string
+		fields     func(w *ckpt.Writer)
+	}{
+		{"oracle=true", "oracle", func(w *ckpt.Writer) {
+			w.Section(tagTDynamic)
+			w.Bool(true)
+		}},
+		{"graph-fed window", "feed byte 1", func(w *ckpt.Writer) {
+			w.Section(tagTDynamic)
+			w.Bool(false)
+			w.Section(tagWindow)
+			w.Int(algo.T1)
+			w.Int(n)
+			w.Int(1) // round
+			w.Int(1) // feed byte of a graph-fed window
+		}},
+	} {
+		err := load(NewTDynamic(problems.MIS(), algo.T1, n), handWritten(row.fields))
+		if err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Fatalf("%s: restore error %v, want one mentioning %q", row.name, err, row.want)
+		}
+	}
+	restored := NewTDynamic(problems.MIS(), algo.T1, n)
+	if err := load(restored, ck); err != nil {
+		t.Fatal(err)
+	}
+	restored.NoteCheckpoint()
+	r := ckpt.NewReader(bytes.NewReader(handWritten(func(w *ckpt.Writer) {
+		w.Section(tagTDynamicDelta)
+		w.Bool(true)
+	})))
+	restored.LoadDelta(r)
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "oracle") {
+		t.Fatalf("delta with oracle=true: restore error %v", err)
 	}
 	if err := load(NewTDynamic(problems.MIS(), algo.T1+1, n), ck); err == nil {
 		t.Fatal("restore into different window size succeeded")
@@ -210,7 +196,12 @@ func deepCopyReport(r TDynamicReport) TDynamicReport {
 	return r
 }
 
-func assertTotalsEqual(t *testing.T, a, b *TDynamic) {
+// totaler is implemented by TDynamic and the reference checker.
+type totaler interface {
+	Totals() (rounds, invalidRounds, packing, cover, botCore int)
+}
+
+func assertTotalsEqual(t *testing.T, a, b totaler) {
 	t.Helper()
 	ar, ai, ap, ac, ab := a.Totals()
 	br, bi, bp, bc, bb := b.Totals()

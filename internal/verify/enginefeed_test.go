@@ -15,11 +15,11 @@ import (
 
 // TestTDynamicEngineChangedFeedMatchesOracle closes the round-delta plane
 // end to end: a real engine run (combined algorithms, real wake-ups and
-// pooled buffers) feeds RoundInfo.Changed into the incremental checker
-// and the full RoundInfo delta plane — EdgeAdds/EdgeRemoves + Changed —
-// into the graph-free delta checker, while the materializing oracle
-// re-derives everything from the full output snapshot; the per-round
-// TDynamicReports must be bit-identical three ways. Unlike
+// pooled buffers) feeds its full RoundInfo delta plane — EdgeAdds/
+// EdgeRemoves + Changed — into the delta-fed checker, while the
+// Definition 2.1 reference checker re-derives everything from the
+// materialized round graph and the full output snapshot; the per-round
+// TDynamicReports must be bit-identical. Unlike
 // TestTDynamicIncrementalMatchesOracle this exercises the engine's own
 // diffs (per-worker fold, snapshot-ring baseline, wake-round ⊥ handling,
 // patched/synthesized topology deltas over pooled graphs) rather than
@@ -77,20 +77,14 @@ func TestTDynamicEngineChangedFeedMatchesOracle(t *testing.T) {
 				seed := uint64(23 + 7*si + ai)
 				algo, T1 := ac.mk()
 				e := engine.New(engine.Config{N: n, Seed: seed + 99, Workers: 4}, sc.mk(seed), algo)
-				inc := NewTDynamic(ac.pc, T1, n)
-				dlt := NewTDynamic(ac.pc, T1, n)
-				orc := NewTDynamicOracle(ac.pc, T1, n)
+				chk := NewTDynamic(ac.pc, T1, n)
+				ref := newRefChecker(ac.pc, T1, n)
 				e.OnRound(func(info *engine.RoundInfo) {
-					repInc := inc.ObserveChanged(info.Graph(), info.Wake, info.Outputs, info.Changed)
-					repDlt := dlt.Feed(info.Delta())
-					repOrc := orc.Observe(info.Graph(), info.Wake, info.Outputs)
-					if !reflect.DeepEqual(repInc, repOrc) {
-						t.Fatalf("round %d: reports diverge\nengine-feed %+v\noracle      %+v",
-							info.Round, repInc, repOrc)
-					}
-					if !reflect.DeepEqual(repDlt, repOrc) {
-						t.Fatalf("round %d: reports diverge\ndelta-feed %+v\noracle     %+v",
-							info.Round, repDlt, repOrc)
+					got := chk.Feed(info.Delta())
+					want := ref.observe(info.Graph(), info.Wake, info.Outputs)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: reports diverge\nFeed      %+v\nreference %+v",
+							info.Round, got, want)
 					}
 				})
 				// Enough rounds for the slowest wake schedule (n/8 staggered

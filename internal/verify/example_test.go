@@ -3,6 +3,7 @@ package verify_test
 import (
 	"fmt"
 
+	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/problems"
 	"dynlocal/internal/verify"
@@ -18,26 +19,36 @@ import (
 func ExampleNewTDynamic() {
 	const n = 4
 	const T = 3
-	base := graph.Path(n) // 0-1-2-3
-	conflict := graph.Union(base, graph.FromEdges(n, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}))
+	path := graph.Path(n).EdgeKeys() // 0-1-2-3
+	extra := []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}
 	out := []problems.Value{1, 2, 1, 2} // proper on the path, 0 and 2 share color 1
-	wake := []graph.NodeID{0, 1, 2, 3}
+	all := []graph.NodeID{0, 1, 2, 3}
 
+	// Each round is fed as its delta against the previous round: the
+	// edges that appeared and disappeared, the nodes that woke up and the
+	// nodes whose output changed.
 	check := verify.NewTDynamic(problems.Coloring(), T, n)
-	rounds := []*graph.Graph{base, base, base, conflict, base, base}
-	for i, g := range rounds {
-		var w []graph.NodeID
-		if i == 0 {
-			w = wake // everyone wakes in round 1
-		}
-		rep := check.Observe(g, w, out)
+	rounds := []engine.RoundDelta{
+		{EdgeAdds: path, Wake: all, Changed: all}, // everyone wakes in round 1
+		{}, {},
+		{EdgeAdds: extra},    // the conflict edge appears in round 4 ...
+		{EdgeRemoves: extra}, // ... and is gone again in round 5
+		{},
+	}
+	for i, d := range rounds {
+		d.Round, d.Outputs = i+1, out
+		rep := check.Feed(d)
 		fmt.Printf("round %d: core=%d valid=%v\n", rep.Round, rep.CoreNodes, rep.Valid())
 	}
 
 	// Keep the conflict edge for T consecutive rounds: it enters G^∩T.
 	var rep verify.TDynamicReport
 	for i := 0; i < T; i++ {
-		rep = check.Observe(conflict, nil, out)
+		d := engine.RoundDelta{Round: len(rounds) + 1 + i, Outputs: out}
+		if i == 0 {
+			d.EdgeAdds = extra
+		}
+		rep = check.Feed(d)
 	}
 	fmt.Printf("after %d conflict rounds: valid=%v packing violations=%d\n",
 		T, rep.Valid(), len(rep.PackingViolations))

@@ -24,7 +24,7 @@ func TestTDynamicAcceptsValidColoring(t *testing.T) {
 	const T = 3
 	g := graph.Path(4)
 	out := []problems.Value{1, 2, 1, 2}
-	c := NewTDynamic(problems.Coloring(), T, 4)
+	c := newGraphFeed(NewTDynamic(problems.Coloring(), T, 4))
 	for r := 1; r <= 8; r++ {
 		var wake []graph.NodeID
 		if r == 1 {
@@ -55,7 +55,7 @@ func TestTDynamicPackingOnIntersectionOnly(t *testing.T) {
 	base := graph.Path(4)
 	conflictG := graph.Union(base, graph.FromEdges(4, []graph.EdgeKey{graph.MakeEdgeKey(0, 2)}))
 	out := []problems.Value{1, 2, 1, 2} // 0 and 2 share color 1
-	c := NewTDynamic(problems.Coloring(), T, 4)
+	c := newGraphFeed(NewTDynamic(problems.Coloring(), T, 4))
 	seq := []*graph.Graph{base, base, base, conflictG, base, base}
 	for r, g := range seq {
 		var wake []graph.NodeID
@@ -88,7 +88,7 @@ func TestTDynamicCoveringOnUnion(t *testing.T) {
 	withEdge := graph.FromEdges(2, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)})
 	empty := graph.Empty(2)
 	out := []problems.Value{2, 1}
-	c := NewTDynamic(problems.Coloring(), T, 2)
+	c := newGraphFeed(NewTDynamic(problems.Coloring(), T, 2))
 	c.Observe(withEdge, allNodes(2), out)
 	c.Observe(withEdge, nil, out)
 	c.Observe(withEdge, nil, out)
@@ -107,7 +107,7 @@ func TestTDynamicBotCoreCounted(t *testing.T) {
 	const T = 2
 	g := graph.Empty(3)
 	out := []problems.Value{problems.Bot, 1, 1}
-	c := NewTDynamic(problems.Coloring(), T, 3)
+	c := newGraphFeed(NewTDynamic(problems.Coloring(), T, 3))
 	c.Observe(g, allNodes(3), out)
 	rep := c.Observe(g, nil, out)
 	if rep.BotCore != 1 || rep.Valid() {
@@ -123,14 +123,14 @@ func TestTDynamicMIS(t *testing.T) {
 	const T = 2
 	g := graph.Cycle(4)
 	good := []problems.Value{problems.InMIS, problems.Dominated, problems.InMIS, problems.Dominated}
-	c := NewTDynamic(problems.MIS(), T, 4)
+	c := newGraphFeed(NewTDynamic(problems.MIS(), T, 4))
 	c.Observe(g, allNodes(4), good)
 	rep := c.Observe(g, nil, good)
 	if !rep.Valid() {
 		t.Fatalf("valid MIS flagged: %+v", rep)
 	}
 	bad := []problems.Value{problems.InMIS, problems.InMIS, problems.Dominated, problems.Dominated}
-	c2 := NewTDynamic(problems.MIS(), T, 4)
+	c2 := newGraphFeed(NewTDynamic(problems.MIS(), T, 4))
 	c2.Observe(g, allNodes(4), bad)
 	rep = c2.Observe(g, nil, bad)
 	if len(rep.PackingViolations) == 0 {
@@ -155,15 +155,14 @@ func (v *advView) PrevGraph() *graph.Graph          { return v.prev }
 func (v *advView) Awake(id graph.NodeID) bool       { return v.awake[id] }
 func (v *advView) DelayedOutputs() []problems.Value { return nil }
 
-// TestTDynamicIncrementalMatchesOracle drives the incremental checker
-// (both the self-diffing Observe path and the caller-supplied-diff
-// ObserveChanged path) and the materializing oracle through identical
+// TestTDynamicIncrementalMatchesOracle drives the delta-fed checker
+// (Feed) and the Definition 2.1 reference checker through identical
 // adversarial schedules with violation-heavy random outputs (⊥ flips,
 // invalid values, conflicts) and asserts the per-round TDynamicReports
 // are bit-identical, including violation order and reason strings. The
-// changed list handed to ObserveChanged is the raw mutation log —
-// duplicates and no-op rewrites included — pinning the documented
-// tolerance for over-approximate feeds.
+// changed list handed to Feed is the raw mutation log — duplicates and
+// no-op rewrites included — pinning the documented tolerance for
+// over-approximate feeds.
 func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 	const n = 64
 	const T = 5
@@ -211,11 +210,8 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 				seed := uint64(17 + ci)
 				adv := sc.mk(seed)
 				res := adversary.NewResolver(n)
-				inc := NewTDynamic(pcase.pc, T, n)
-				fed := NewTDynamic(pcase.pc, T, n)
-				dlt := NewTDynamic(pcase.pc, T, n)
-				fdr := NewTDynamic(pcase.pc, T, n)
-				orc := NewTDynamicOracle(pcase.pc, T, n)
+				chk := NewTDynamic(pcase.pc, T, n)
+				ref := newRefChecker(pcase.pc, T, n)
 				view := &advView{n: n, prev: graph.Empty(n), awake: make([]bool, n)}
 				out := make([]problems.Value, n)
 				outStream := prf.NewStream(seed+99, 0, 0, prf.PurposeWorkload)
@@ -237,53 +233,18 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 							changed = append(changed, graph.NodeID(v))
 						}
 					}
-					repInc := inc.Observe(g, st.Wake, out)
-					repFed := fed.ObserveChanged(g, st.Wake, out, changed)
-					repDlt := dlt.ObserveDeltas(adds, removes, st.Wake, out, changed)
-					repFdr := fdr.Feed(engine.RoundDelta{
+					got := chk.Feed(engine.RoundDelta{
 						Round: r, EdgeAdds: adds, EdgeRemoves: removes,
 						Wake: st.Wake, Outputs: out, Changed: changed,
 					})
-					repOrc := orc.Observe(g.Clone(), st.Wake, out)
-					if !reflect.DeepEqual(repInc, repOrc) {
-						t.Fatalf("round %d: reports diverge\nincremental %+v\noracle      %+v",
-							r, repInc, repOrc)
-					}
-					if !reflect.DeepEqual(repFed, repOrc) {
-						t.Fatalf("round %d: reports diverge\nchanged-feed %+v\noracle       %+v",
-							r, repFed, repOrc)
-					}
-					if !reflect.DeepEqual(repDlt, repOrc) {
-						t.Fatalf("round %d: reports diverge\ndelta-feed %+v\noracle     %+v",
-							r, repDlt, repOrc)
-					}
-					if !reflect.DeepEqual(repFdr, repOrc) {
-						t.Fatalf("round %d: reports diverge\nFeed   %+v\noracle %+v",
-							r, repFdr, repOrc)
+					want := ref.observe(g, st.Wake, out)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: reports diverge\nFeed      %+v\nreference %+v",
+							r, got, want)
 					}
 					view.prev = g
 				}
-				ri, ii, pi, ci2, bi := inc.Totals()
-				rf, ifd, pf, cf, bf := fed.Totals()
-				rd, id, pd, cd, bd := dlt.Totals()
-				ro, io, po, co, bo := orc.Totals()
-				if ri != ro || ii != io || pi != po || ci2 != co || bi != bo {
-					t.Fatalf("totals diverge: incremental (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						ri, ii, pi, ci2, bi, ro, io, po, co, bo)
-				}
-				if rf != ro || ifd != io || pf != po || cf != co || bf != bo {
-					t.Fatalf("totals diverge: changed-feed (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						rf, ifd, pf, cf, bf, ro, io, po, co, bo)
-				}
-				if rd != ro || id != io || pd != po || cd != co || bd != bo {
-					t.Fatalf("totals diverge: delta-feed (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						rd, id, pd, cd, bd, ro, io, po, co, bo)
-				}
-				rr, ir, pr, cr, br := fdr.Totals()
-				if rr != ro || ir != io || pr != po || cr != co || br != bo {
-					t.Fatalf("totals diverge: Feed (%d %d %d %d %d) oracle (%d %d %d %d %d)",
-						rr, ir, pr, cr, br, ro, io, po, co, bo)
-				}
+				assertTotalsEqual(t, chk, ref)
 			})
 		}
 	}

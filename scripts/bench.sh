@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Runs the root bench suite with -benchmem and records the results as
+# Runs the root bench suite and the T-dynamic checker benches
+# (internal/verify) with -benchmem and records the results as
 # BENCH_<date><label>.json in the repo root, so the performance trajectory
 # of the simulator is tracked in-tree.
 #
@@ -9,9 +10,10 @@
 #   LABEL=-pre scripts/bench.sh      # suffix the output file name
 #   BENCHTIME=1x scripts/bench.sh    # single iteration (smoke run)
 #
-# The full suite includes BenchmarkTDynamicChecker (incremental vs oracle
-# verification at N=4096), so the perf trajectory tracks checker cost;
-# BENCH_<date>-verify.json holds its dedicated baseline.
+# The suite includes BenchmarkTDynamicChecker (delta-fed checker vs the
+# Definition 2.1 reference at N=4096, in internal/verify), so the perf
+# trajectory tracks checker cost; BENCH_<date>-verify.json holds its
+# dedicated baseline.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +31,7 @@ TMP="$(mktemp)"
 trap 'rm -f "$TMP"' EXIT
 
 go test -run '^$' -bench "$BENCH" -benchmem -benchtime "$BENCHTIME" \
-	-count "$COUNT" -timeout 60m . | tee "$TMP"
+	-count "$COUNT" -timeout 60m . ./internal/verify | tee "$TMP"
 
 # num_cpu/gomaxprocs make the scaling-matrix caveat machine-readable:
 # recordings from a 1-CPU box can be filtered out before comparing
