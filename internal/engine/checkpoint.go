@@ -21,15 +21,16 @@ import (
 //
 // What a checkpoint captures, and why the rest is skippable:
 //
-//   - header: algorithm name, N, Seed, OutputLag, Dense, the completed
-//     round and the input vector — all validated on restore, since node
-//     state only replays correctly under the exact same configuration;
+//   - header: algorithm name, N, Seed, OutputLag, a retired dense-walk
+//     flag (always false; restores reject true), the completed round and
+//     the input vector — all validated on restore, since node state only
+//     replays correctly under the exact same configuration;
 //   - topology: the current graph's sorted edge keys, delta-encoded.
 //     Restore seeds both the sparse adjacency and the resolver's pending
 //     diff from it;
-//   - nodes: for every awake node its wake round, quiescence counter
-//     (sparse) and the algorithm state via ckpt.Stater;
-//   - active set: the sorted active list (sparse);
+//   - nodes: for every awake node its wake round, quiescence counter and
+//     the algorithm state via ckpt.Stater;
+//   - active set: the sorted active list;
 //   - snapshot ring: the output snapshots of rounds max(1, R-lag)..R —
 //     every slot a future round may still read through DelayedOutputs or
 //     diff against;
@@ -91,7 +92,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 	w.Int(e.cfg.N)
 	w.Uvarint(e.cfg.Seed)
 	w.Int(e.lag)
-	w.Bool(e.cfg.Dense)
+	w.Bool(false) // retired dense-walk flag
 	w.Int(e.round)
 	w.Bool(e.cfg.Input != nil)
 	for _, val := range e.cfg.Input {
@@ -125,9 +126,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 		}
 		w.Varint(int64(v))
 		w.Int(e.wakeRnd[v])
-		if !e.cfg.Dense {
-			w.Varint(int64(e.quiet[v]))
-		}
+		w.Varint(int64(e.quiet[v]))
 		st, ok := e.states[v].(ckpt.Stater)
 		if !ok {
 			w.Fail(fmt.Errorf("engine: algorithm %q node state %T does not support checkpointing", e.algo.Name(), e.states[v]))
@@ -177,6 +176,25 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 	}
 }
 
+// restoreQuiet validates and installs the quiescence counter of a node
+// whose state was just loaded. The counter only grows while the node
+// reports Quiescent — its state then stays frozen until an edge touch
+// resets the counter — and stops at lag+1, when the node is dropped. Any
+// other value would send the node into the grace fast path it never
+// earned and silently skip its Process calls, so it fails r.
+func (e *Engine) restoreQuiet(r *ckpt.Reader, v graph.NodeID, quiet int) {
+	q, _ := e.states[v].(Quiescer)
+	switch {
+	case quiet < 0 || quiet > e.lag+1:
+		r.Fail(fmt.Errorf("engine: checkpoint quiescence counter %d for node %d outside [0, %d]", quiet, v, e.lag+1))
+	case quiet != 0 && (q == nil || !q.Quiescent()):
+		r.Fail(fmt.Errorf("engine: checkpoint quiescence counter %d for node %d, which does not report quiescent", quiet, v))
+	default:
+		e.quiet[v] = int32(quiet)
+		e.quiescer[v] = q
+	}
+}
+
 // RestoreFrom reads the engine sections from an already-open checkpoint
 // stream, leaving the stream positioned after them. Errors — stream
 // corruption as well as configuration mismatches — accumulate on r; the
@@ -213,8 +231,8 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) {
 		r.Fail(fmt.Errorf("engine: checkpoint has seed %d, engine has seed %d", seed, e.cfg.Seed))
 	case lag != e.lag:
 		r.Fail(fmt.Errorf("engine: checkpoint has OutputLag=%d, engine has %d", lag, e.lag))
-	case dense != e.cfg.Dense:
-		r.Fail(fmt.Errorf("engine: checkpoint Dense=%v, engine Dense=%v", dense, e.cfg.Dense))
+	case dense:
+		r.Fail(fmt.Errorf("engine: checkpoint is from the retired dense round walk"))
 	case round < 0:
 		r.Fail(fmt.Errorf("engine: checkpoint has negative round %d", round))
 	case hasInput != (e.cfg.Input != nil):
@@ -282,9 +300,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) {
 		if r.Err() == nil && (wr < 1 || wr > round) {
 			r.Fail(fmt.Errorf("engine: checkpoint wake round %d for node %d outside [1, %d]", wr, v, round))
 		}
-		if !dense {
-			e.quiet[v] = int32(r.Varint())
-		}
+		quiet := r.Int()
 		if r.Err() != nil {
 			return
 		}
@@ -292,17 +308,15 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) {
 		e.wakeRnd[v] = wr
 		np := e.newRestoredNode(r, graph.NodeID(v))
 		e.states[v] = np
-		if !dense {
-			if q, ok := np.(Quiescer); ok {
-				e.quiescer[v] = q
-			}
-		}
 		st, ok := np.(ckpt.Stater)
 		if !ok {
 			r.Fail(fmt.Errorf("engine: algorithm %q node state %T does not support checkpointing", e.algo.Name(), np))
 			return
 		}
 		st.LoadState(r)
+		if r.Err() == nil {
+			e.restoreQuiet(r, graph.NodeID(v), quiet)
+		}
 		if r.Err() != nil {
 			return
 		}
@@ -311,10 +325,6 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) {
 	r.Section(tagActive)
 	nActive := r.Count(n)
 	if r.Err() != nil {
-		return
-	}
-	if dense && nActive != 0 {
-		r.Fail(fmt.Errorf("engine: dense checkpoint declares %d active nodes", nActive))
 		return
 	}
 	var prevV graph.NodeID
@@ -395,9 +405,7 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) {
 			return
 		}
 	}
-	if !dense {
-		e.adj.Apply(keys, nil)
-	}
+	e.adj.Apply(keys, nil)
 	e.resolver.Observe(&adversary.Step{EdgeAdds: keys})
 	e.round = round
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -97,21 +98,6 @@ func TestCheckpointChainResumeFromEveryPrefix(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestCheckpointChainDense runs the every-prefix equivalence check on
-// the dense reference walk (dense deltas degenerate to full node
-// sections but must still link and restore correctly).
-func TestCheckpointChainDense(t *testing.T) {
-	const n = 64
-	const rounds = 16
-	mk := churnAdv(n)
-	cfg := Config{N: n, Seed: 7, Workers: 2, Dense: true}
-	ref, chain, offsets, recRounds := buildChain(t, cfg, mk(), ckAlgo{}, rounds, 3, 4)
-	for i, off := range offsets {
-		res := resumeChainTrace(t, cfg, mk(), ckAlgo{}, chain[:off], rounds)
-		diffTraces(t, fmt.Sprintf("dense chain prefix %d", i), ref.tail(recRounds[i]), res)
 	}
 }
 
@@ -235,6 +221,27 @@ func TestCheckpointChainRejects(t *testing.T) {
 			t.Fatal("RestoreChain accepted an empty stream")
 		}
 	})
+	for _, tc := range quietRejects(DefaultOutputLag) {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(cfg, mk(), tc.algo)
+			e.Run(3)
+			var buf bytes.Buffer
+			if err := e.CheckpointChain(&buf); err != nil {
+				t.Fatalf("chain base: %v", err)
+			}
+			e.Step()
+			v := firstAwake(t, e)
+			e.quiet[v] = tc.quiet
+			e.markNodeDirty(v)
+			if err := e.CheckpointDelta(&buf); err != nil {
+				t.Fatalf("chain delta: %v", err)
+			}
+			err := New(cfg, mk(), tc.algo).RestoreChain(bytes.NewReader(buf.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), "quiescence counter") {
+				t.Fatalf("delta restore of quiescence counter %d: err = %v", tc.quiet, err)
+			}
+		})
+	}
 	t.Run("delta-without-base", func(t *testing.T) {
 		e := New(cfg, mk(), ckAlgo{})
 		e.Step()

@@ -191,9 +191,7 @@ func (e *Engine) CheckpointDeltaTo(w *ckpt.Writer) {
 	for _, v := range e.dirtyList {
 		w.Varint(int64(v))
 		w.Int(e.wakeRnd[v])
-		if !e.cfg.Dense {
-			w.Varint(int64(e.quiet[v]))
-		}
+		w.Varint(int64(e.quiet[v]))
 		st, ok := e.states[v].(ckpt.Stater)
 		if !ok {
 			w.Fail(fmt.Errorf("engine: algorithm %q node state %T does not support checkpointing", e.algo.Name(), e.states[v]))
@@ -318,7 +316,6 @@ func (e *Engine) RestoreDeltaFrom(r *ckpt.Reader) {
 		return
 	}
 	n := e.cfg.N
-	dense := e.cfg.Dense
 
 	r.Section(tagDeltaTopology)
 	adds := readEdgeList(r, n, "delta add")
@@ -360,27 +357,21 @@ func (e *Engine) RestoreDeltaFrom(r *ckpt.Reader) {
 			e.awake[v] = true
 			e.wakeRnd[v] = wr
 		}
-		if !dense {
-			e.quiet[v] = int32(r.Varint())
-		}
+		quiet := r.Int()
 		if r.Err() != nil {
 			return
 		}
 		np := e.newRestoredNode(r, graph.NodeID(v))
 		e.states[v] = np
-		if !dense {
-			if q, ok := np.(Quiescer); ok {
-				e.quiescer[v] = q
-			} else {
-				e.quiescer[v] = nil
-			}
-		}
 		st, ok := np.(ckpt.Stater)
 		if !ok {
 			r.Fail(fmt.Errorf("engine: algorithm %q node state %T does not support checkpointing", e.algo.Name(), np))
 			return
 		}
 		st.LoadState(r)
+		if r.Err() == nil {
+			e.restoreQuiet(r, graph.NodeID(v), quiet)
+		}
 		if r.Err() != nil {
 			return
 		}
@@ -392,10 +383,6 @@ func (e *Engine) RestoreDeltaFrom(r *ckpt.Reader) {
 		return
 	}
 	if activeMoved {
-		if dense {
-			r.Fail(fmt.Errorf("engine: dense delta declares an active-list change"))
-			return
-		}
 		for _, v := range e.activeList {
 			e.active[v] = false
 		}
@@ -543,9 +530,7 @@ func (e *Engine) RestoreDeltaFrom(r *ckpt.Reader) {
 			return
 		}
 	}
-	if !dense {
-		e.adj.Apply(adds, rems)
-	}
+	e.adj.Apply(adds, rems)
 	e.resolver.Observe(&adversary.Step{EdgeAdds: adds, EdgeRemoves: rems})
 	e.round = round
 }

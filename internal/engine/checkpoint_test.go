@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -66,6 +67,67 @@ func (p *ckNode) LoadState(r *ckpt.Reader) {
 	r.Section(0x7f)
 	p.best = r.Varint()
 	p.stable = int32(r.Varint())
+}
+
+// loudAlgo is ckAlgo with Quiescent hidden: its nodes checkpoint like
+// ckAlgo's but never quiesce, so their quiescence counter stays 0.
+type loudAlgo struct{}
+
+func (loudAlgo) Name() string { return "ck-loud" }
+func (loudAlgo) NewNode(v graph.NodeID) NodeProc {
+	p := &ckNode{best: int64(v)}
+	return loudNode{p, p}
+}
+
+type loudNode struct {
+	NodeProc
+	ckpt.Stater
+}
+
+// restlessAlgo implements Quiescer but never reports quiescent, like a
+// standalone wrapper around an instance without a Quiescer.
+type restlessAlgo struct{ loudAlgo }
+
+func (restlessAlgo) NewNode(v graph.NodeID) NodeProc {
+	return restlessNode{loudAlgo{}.NewNode(v).(loudNode)}
+}
+
+type restlessNode struct{ loudNode }
+
+func (restlessNode) Quiescent() bool { return false }
+
+// firstAwake returns the lowest awake node of e.
+func firstAwake(t *testing.T, e *Engine) graph.NodeID {
+	t.Helper()
+	for v, ok := range e.awake {
+		if ok {
+			return graph.NodeID(v)
+		}
+	}
+	t.Fatal("no awake node")
+	return 0
+}
+
+// quietRejects lists the quiescence counters no run can produce for the
+// algorithm: negative, above the drop point lag+1, and any non-zero
+// value on a node that does not report quiescent — whether its algorithm
+// lacks Quiescer or only never reports true.
+func quietRejects(lag int) []struct {
+	name  string
+	algo  Algorithm
+	quiet int32
+} {
+	return []struct {
+		name  string
+		algo  Algorithm
+		quiet int32
+	}{
+		{"quiet-negative", ckAlgo{}, -3},
+		{"quiet-above-drop", ckAlgo{}, int32(lag + 2)},
+		{"quiet-huge", ckAlgo{}, 1 << 20},
+		{"quiet-non-quiescer", loudAlgo{}, 1},
+		{"quiet-not-quiescent", restlessAlgo{}, 1},
+	}
 }
 
 // checkpointAdversaries builds the matrix of adversary constructors for
@@ -179,18 +241,6 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeDense runs the equivalence check on the dense
-// reference walk.
-func TestCheckpointResumeDense(t *testing.T) {
-	const n = 64
-	const rounds = 16
-	const k = 6
-	cfg := Config{N: n, Seed: 7, Workers: 2, Dense: true}
-	ref, ck := runWithCheckpoint(t, cfg, churnAdv(n)(), ckAlgo{}, rounds, k)
-	res := resumeTrace(t, cfg, churnAdv(n)(), ckAlgo{}, ck, rounds)
-	diffTraces(t, "dense resumed", ref.tail(k), res)
-}
-
 // TestCheckpointResumeWithInput pins the input-vector round trip: inputs
 // affect only future wake-ups, and the header validates them.
 func TestCheckpointResumeWithInput(t *testing.T) {
@@ -294,4 +344,41 @@ func TestRestoreRejects(t *testing.T) {
 			t.Fatal("restore of garbage succeeded")
 		}
 	})
+	t.Run("dense-flag", func(t *testing.T) {
+		// A header with the retired dense-walk flag set, as the dense walk
+		// used to write it.
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		w.String(ckptMagic)
+		w.Section(tagHeader)
+		w.String(ckAlgo{}.Name())
+		w.Int(n)
+		w.Uvarint(cfg.Seed)
+		w.Int(DefaultOutputLag)
+		w.Bool(true)
+		w.Int(0)
+		w.Bool(false)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		err := fresh(cfg).Restore(bytes.NewReader(buf.Bytes()))
+		if err == nil || !strings.Contains(err.Error(), "retired dense round walk") {
+			t.Fatalf("restore of a dense-walk header: err = %v", err)
+		}
+	})
+	for _, tc := range quietRejects(DefaultOutputLag) {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(cfg, churnAdv(n)(), tc.algo)
+			e.Run(6)
+			e.quiet[firstAwake(t, e)] = tc.quiet
+			var buf bytes.Buffer
+			if err := e.Checkpoint(&buf); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+			err := New(cfg, churnAdv(n)(), tc.algo).Restore(bytes.NewReader(buf.Bytes()))
+			if err == nil || !strings.Contains(err.Error(), "quiescence counter") {
+				t.Fatalf("restore of quiescence counter %d: err = %v", tc.quiet, err)
+			}
+		})
+	}
 }

@@ -156,6 +156,9 @@ func TestEdgeBalancedShardsOnSkewedDegrees(t *testing.T) {
 	diffTraces(t, "star", ref, got)
 }
 
+// TestShardBoundsPartitionNodeSpace checks the phase shard cuts: after
+// one round every node is awake and, without a Quiescer, active, so the
+// cuts of the active list must partition the whole node space.
 func TestShardBoundsPartitionNodeSpace(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		for _, g := range []*graph.Graph{
@@ -165,7 +168,11 @@ func TestShardBoundsPartitionNodeSpace(t *testing.T) {
 		} {
 			e := New(Config{N: g.N(), Seed: 1, Workers: workers},
 				adversary.Static{G: g}, degreeAlgo{})
-			bounds := e.shardBounds(g)
+			e.Step()
+			if len(e.activeList) != g.N() {
+				t.Fatalf("workers=%d g=%v: %d of %d nodes active", workers, g, len(e.activeList), g.N())
+			}
+			bounds := e.listCuts(e.activeList)
 			if len(bounds) != workers+1 || bounds[0] != 0 || bounds[len(bounds)-1] != g.N() {
 				t.Fatalf("workers=%d g=%v: bad bounds %v", workers, g, bounds)
 			}

@@ -12,11 +12,11 @@
 //     metrics) and — subject to the configured obliviousness lag — to the
 //     adversary.
 //
-// The two communication phases are parallelized over edge-balanced node
-// shards (cut by cumulative degree, see parallel.go) with a barrier
-// between them. Message delivery is batched per sender: each neighbor's
-// outbox lands in the receiver's inbox as one contiguous run, in
-// ascending neighbor order. The inbox is one buffer per worker, reused
+// The two communication phases are parallelized over edge-balanced
+// shards of the active set (cut by degree weight, see parallel.go) with a
+// barrier between them. Message delivery is batched per sender: each
+// neighbor's outbox lands in the receiver's inbox as one contiguous run,
+// in ascending neighbor order. The inbox is one buffer per worker, reused
 // for every node the worker processes, so it stays cache-resident.
 //
 // # Determinism contract
@@ -50,9 +50,9 @@
 // materialized when an observer asks RoundInfo.Graph() or a wrapper
 // adversary asks View.PrevGraph(). Worker shards are cut by walking the
 // active list's degrees — O(active + workers), no per-round O(n) prefix
-// rebuild. Config.Dense selects the pre-sparse reference walk over the
-// full node space (the equivalence baseline; bit-identical by
-// construction and pinned by tests).
+// rebuild. The active-set walk is the engine's only round walk; its
+// equivalence suite checks it against a serial test-only walk written
+// directly from Section 2.
 //
 // # Round-delta plane
 //
@@ -204,13 +204,6 @@ type Config struct {
 	OutputLag int
 	// Input provides per-node input values (nil = all Bot).
 	Input []problems.Value
-	// Dense selects the reference dense round walk: both phases iterate
-	// the full node space, the round graph is materialized eagerly and no
-	// node ever quiesces. Outputs and RoundInfo deltas are bit-identical
-	// to the default sparse activity plane (pinned by the equivalence
-	// tests); rounds cost O(n + m) instead of O(active + changes). Meant
-	// for differential tests and as the benchmark baseline.
-	Dense bool
 }
 
 // RoundDelta is the consolidated view of one round's delta plane: the
@@ -277,7 +270,7 @@ type RoundInfo struct {
 	Bits                  int64 // declared encoded bits (0 if no BitSizer)
 
 	eng *Engine      // source engine for lazy graph materialization
-	g   *graph.Graph // materialized graph (dense rounds, retained copies)
+	g   *graph.Graph // owned graph copy of a Retained round
 }
 
 // Graph returns the round's communication graph G_r, materializing it on
@@ -286,9 +279,9 @@ type RoundInfo struct {
 // pay the O(n + m) materialization. The returned graph is immutable but
 // may alias a pooled arena — it may be read during this round and the
 // next, and must be Cloned (or the round Retained) to be held longer.
-// For a live (non-retained) RoundInfo of a sparse engine, Graph must be
-// called before the next Step; afterwards it panics, since the engine's
-// topology has moved past this round.
+// For a live (non-retained) RoundInfo, Graph must be called before the
+// next Step; afterwards it panics, since the engine's topology has moved
+// past this round.
 //
 //dynlint:loan
 func (ri *RoundInfo) Graph() *graph.Graph {
@@ -351,9 +344,8 @@ type Engine struct {
 	acc      []workerAcc      // per-worker accounting cells
 	chg      [][]graph.NodeID // per-worker changed-output shards
 	changed  []graph.NodeID   // folded changed-node list (pooled)
-	bounds   []int            // dense-mode shard-boundary scratch
 
-	// Sparse activity plane (nil/unused when cfg.Dense).
+	// Sparse activity plane.
 	adj        *graph.DynAdj    // incrementally patched round topology
 	active     []bool           // membership bitmap of activeList
 	activeList []graph.NodeID   // sorted active set, both phases walk this
@@ -378,10 +370,9 @@ type Engine struct {
 	// Incremental-checkpoint dirty tracking, disabled (and nil) until the
 	// first NoteCheckpoint — runs that never write checkpoint chains pay
 	// nothing. While enabled, each round marks the nodes whose serialized
-	// state may have changed (the phase-time active list under the sparse
-	// plane; all awake nodes under Dense), the nodes whose output changed,
-	// the net topology diff and whether the active list moved, all since
-	// the last persisted record. CheckpointDeltaTo serializes exactly
+	// state may have changed (the phase-time active list), the nodes whose
+	// output changed, the net topology diff and whether the active list
+	// moved, all since the last persisted record. CheckpointDeltaTo serializes exactly
 	// these marks; NoteCheckpoint resets them once a record survives.
 	ckptTrack    bool
 	ckptSeq      uint64                 // records persisted in the current chain
@@ -433,18 +424,15 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		workers:  workers,
 		acc:      make([]workerAcc, workers),
 		chg:      make([][]graph.NodeID, workers),
-		bounds:   make([]int, 0, workers+1),
+		adj:      graph.NewDynAdj(cfg.N),
+		active:   make([]bool, cfg.N),
+		quiet:    make([]int32, cfg.N),
+		quiescer: make([]Quiescer, cfg.N),
+		drops:    make([][]graph.NodeID, workers),
+		cuts:     make([]int, 0, workers+1),
 	}
-	if !cfg.Dense {
-		e.adj = graph.NewDynAdj(cfg.N)
-		e.active = make([]bool, cfg.N)
-		e.quiet = make([]int32, cfg.N)
-		e.quiescer = make([]Quiescer, cfg.N)
-		e.drops = make([][]graph.NodeID, workers)
-		e.cuts = make([]int, 0, workers+1)
-		e.phase1Fn = e.sparseBroadcast
-		e.phase2Fn = e.sparseProcess
-	}
+	e.phase1Fn = e.sparseBroadcast
+	e.phase2Fn = e.sparseProcess
 	e.vw.e = e
 	if s, ok := algo.(BitSizer); ok {
 		e.sizer = s
@@ -521,13 +509,11 @@ func (e *Engine) Step() *RoundInfo {
 		e.awake[v] = true
 		e.wakeRnd[v] = r
 		e.states[v] = e.algo.NewNode(v)
-		if e.adj != nil {
-			if q, ok := e.states[v].(Quiescer); ok {
-				e.quiescer[v] = q
-			}
-			e.active[v] = true
-			e.newAct = append(e.newAct, v)
+		if q, ok := e.states[v].(Quiescer); ok {
+			e.quiescer[v] = q
 		}
+		e.active[v] = true
+		e.newAct = append(e.newAct, v)
 		ctx := Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
 		input := problems.Bot
 		if e.cfg.Input != nil {
@@ -546,12 +532,7 @@ func (e *Engine) Step() *RoundInfo {
 		}
 	}
 
-	var info *RoundInfo
-	if e.adj != nil {
-		info = e.stepSparse(r, &st, adds, removes)
-	} else {
-		info = e.stepDense(r, &st, adds, removes)
-	}
+	info := e.stepSparse(r, &st, adds, removes)
 	for _, fn := range e.observers {
 		fn(info)
 	}
@@ -674,7 +655,7 @@ func (e *Engine) applyDrops() {
 
 // stepSparse plays the round over the active set: O(active + changes)
 // total, with accounting summed per sender so skipped quiescent receivers
-// cost nothing while Messages/Bits stay bit-identical to the dense walk.
+// cost nothing while Messages/Bits still count every delivery.
 func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
 	e.adj.Apply(adds, removes)
 	for _, k := range adds {
@@ -711,7 +692,7 @@ func (e *Engine) stepSparse(r int, st *adversary.Step, adds, removes []graph.Edg
 	// Fold the per-worker changed shards. Shards are contiguous ascending
 	// ranges of the active list, so concatenation in worker order yields
 	// the same sorted list for every worker count; quiescent-dropped
-	// nodes never change output, so the list matches the dense walk's.
+	// nodes never change output, so no change is missed.
 	changed := e.changed[:0]
 	for w := range e.chg {
 		changed = append(changed, e.chg[w]...)
@@ -824,108 +805,6 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		e.quiet[v] = 0
 	}
 	return 0, 0
-}
-
-// stepDense plays the round as the pre-sparse reference walk: the graph
-// is materialized eagerly and both phases iterate the full node space,
-// gated on the awake bitmap. It is the differential baseline the sparse
-// plane is tested against, and the honest O(n + m) comparator of the
-// sparse-round benchmarks.
-func (e *Engine) stepDense(r int, st *adversary.Step, adds, removes []graph.EdgeKey) *RoundInfo {
-	g := e.resolver.Materialize()
-
-	// Phase 1: broadcast, with the same per-sender accounting as the
-	// sparse walk.
-	msgs, bits := e.parallelNodes(g, func(ctx *Ctx, _ int, v graph.NodeID) (int, int64) {
-		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
-		out := e.states[v].Broadcast(ctx, e.outbox[v][:0])
-		e.outbox[v] = out
-		deg := g.Degree(v)
-		var b int64
-		if e.sizer != nil && len(out) > 0 {
-			for i := range out {
-				b += int64(e.sizer.MessageBits(out[i]))
-			}
-			b *= int64(deg)
-		}
-		return len(out) * deg, b
-	})
-
-	// Phase 2: deliver, process, snapshot and diff — fused per node so no
-	// serial post-pass remains. Inboxes are sized exactly before filling
-	// (one O(deg) counting pass), then delivery is batched per sender:
-	// each neighbor's outbox lands as one contiguous run written through
-	// a pre-sliced window.
-	snap, prev := e.ringSlots(r)
-	for w := range e.chg {
-		e.chg[w] = e.chg[w][:0]
-	}
-	e.parallelNodes(g, func(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
-		need := 0
-		for _, u := range g.Neighbors(v) {
-			need += len(e.outbox[u])
-		}
-		in := e.inbox[w]
-		if cap(in) < need {
-			in = make([]Incoming, need)
-		} else {
-			in = in[:need]
-		}
-		pos := 0
-		for _, u := range g.Neighbors(v) {
-			run := e.outbox[u]
-			if len(run) == 0 {
-				continue
-			}
-			dst := in[pos : pos+len(run) : pos+len(run)]
-			for i := range run {
-				dst[i] = Incoming{From: u, M: run[i]}
-			}
-			pos += len(run)
-		}
-		e.inbox[w] = in
-		*ctx = Ctx{Node: v, Round: r, Seed: e.cfg.Seed}
-		e.states[v].Process(ctx, in, g.Degree(v))
-		val := e.states[v].Output()
-		snap[v] = val
-		old := problems.Bot
-		if prev != nil {
-			old = prev[v]
-		}
-		if val != old {
-			e.chg[w] = append(e.chg[w], v)
-		}
-		return 0, 0
-	})
-
-	changed := e.changed[:0]
-	for w := range e.chg {
-		changed = append(changed, e.chg[w]...)
-	}
-	e.changed = changed
-	if e.ckptTrack {
-		// The dense walk runs Process on every awake node, so they are
-		// all dirty — deltas of Dense runs degenerate to full node
-		// sections by construction.
-		for v := 0; v < e.cfg.N; v++ {
-			if e.awake[v] {
-				e.markNodeDirty(graph.NodeID(v))
-			}
-		}
-		for _, v := range changed {
-			e.markOutDirty(v)
-		}
-	}
-
-	e.round = r
-	info := &e.infos[r%len(e.infos)]
-	*info = RoundInfo{
-		Round: r, Wake: st.Wake, Outputs: snap, Changed: changed,
-		EdgeAdds: adds, EdgeRemoves: removes,
-		Messages: msgs, Bits: bits,
-		eng: e, g: g,
-	}
-	return info
 }
 
 // panicSleepingEdge is the cold path for model violations, kept out of

@@ -99,20 +99,17 @@ func (o *orderNode) Output() problems.Value {
 }
 
 // TestInboxGroupedBySenderAscending pins the inbox order NodeProc.Process
-// documents, under churn, on the sparse and dense walks and on the
-// serial and sharded paths.
+// documents, under churn, on the serial and sharded paths.
 func TestInboxGroupedBySenderAscending(t *testing.T) {
 	for _, n := range []int{64, serialThreshold * 2} {
-		for _, dense := range []bool{false, true} {
-			for _, w := range []int{1, 2} {
-				e := New(Config{N: n, Seed: 3, Workers: w, Dense: dense}, churnAdv(n)(), orderAlgo{})
-				for r := 0; r < 8; r++ {
-					e.Step()
-				}
-				for v, st := range e.states {
-					if bad := st.(*orderNode).bad; bad != "" {
-						t.Fatalf("n=%d dense=%v workers=%d node %d: %s", n, dense, w, v, bad)
-					}
+		for _, w := range []int{1, 2} {
+			e := New(Config{N: n, Seed: 3, Workers: w}, churnAdv(n)(), orderAlgo{})
+			for r := 0; r < 8; r++ {
+				e.Step()
+			}
+			for v, st := range e.states {
+				if bad := st.(*orderNode).bad; bad != "" {
+					t.Fatalf("n=%d workers=%d node %d: %s", n, w, v, bad)
 				}
 			}
 		}

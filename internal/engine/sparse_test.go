@@ -1,18 +1,22 @@
 package engine_test
 
-// Sparse ≡ dense equivalence: the sparse activity plane (the default) must
-// be observably indistinguishable from the Config{Dense: true} reference
-// walk — bit-identical outputs, changed feeds, topology deltas and
-// message/bit accounting, every round, for every worker count. The matrix
-// crosses the four adversary schedules used across the repo's tests with
-// the two combined framework algorithms (never quiescent: exercises the
-// pure active-set walk) and standalone DMis (terminally quiescent
-// Dominated nodes: exercises the drop/grace/revival machinery). The -race
-// CI job runs this file, so the sharded sparse phases are raced too.
+// Engine ≡ reference equivalence: the engine's active-set walk must be
+// observably indistinguishable from refWalk, the serial model of Section
+// 2 in refwalk_test.go — bit-identical outputs, changed feeds, topology
+// deltas and message/bit accounting, every round, for every worker count.
+// The matrix crosses the four adversary schedules used across the repo's
+// tests with the two combined framework algorithms (never quiescent:
+// exercises the pure active-set walk) and standalone DMis (terminally
+// quiescent Dominated nodes: exercises the drop/grace/revival machinery,
+// which the reference walk does not have), plus degAlgo, whose output
+// follows its degree, so a dropped node that misses an edge-churn touch
+// shows. The -race CI job runs this file, so the sharded phases are raced
+// too.
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dynlocal/internal/adversary"
@@ -33,8 +37,11 @@ type fullTrace struct {
 	bits     []int64
 }
 
-func runTrace(n, workers, rounds int, dense bool, adv adversary.Adversary, algo engine.Algorithm) fullTrace {
-	e := engine.New(engine.Config{N: n, Seed: 77, Workers: workers, Dense: dense}, adv, algo)
+// runSeed is the engine seed of both walks in the equivalence suite.
+const runSeed = 77
+
+func runTrace(n, workers, rounds int, adv adversary.Adversary, algo engine.Algorithm) fullTrace {
+	e := engine.New(engine.Config{N: n, Seed: runSeed, Workers: workers}, adv, algo)
 	var tr fullTrace
 	e.OnRound(func(info *engine.RoundInfo) {
 		tr.outputs = append(tr.outputs, append([]problems.Value(nil), info.Outputs...))
@@ -48,50 +55,39 @@ func runTrace(n, workers, rounds int, dense bool, adv adversary.Adversary, algo 
 	return tr
 }
 
-func diffFullTraces(t *testing.T, label string, dense, sparse fullTrace) {
+func diffFullTraces(t *testing.T, label string, ref, got fullTrace) {
 	t.Helper()
-	for r := range dense.outputs {
-		if dense.messages[r] != sparse.messages[r] {
-			t.Fatalf("%s: round %d messages dense=%d sparse=%d", label, r+1, dense.messages[r], sparse.messages[r])
+	if len(ref.outputs) != len(got.outputs) {
+		t.Fatalf("%s: %d rounds, reference has %d", label, len(got.outputs), len(ref.outputs))
+	}
+	for r := range ref.outputs {
+		if ref.messages[r] != got.messages[r] {
+			t.Fatalf("%s: round %d messages ref=%d engine=%d", label, r+1, ref.messages[r], got.messages[r])
 		}
-		if dense.bits[r] != sparse.bits[r] {
-			t.Fatalf("%s: round %d bits dense=%d sparse=%d", label, r+1, dense.bits[r], sparse.bits[r])
+		if ref.bits[r] != got.bits[r] {
+			t.Fatalf("%s: round %d bits ref=%d engine=%d", label, r+1, ref.bits[r], got.bits[r])
 		}
-		for v := range dense.outputs[r] {
-			if dense.outputs[r][v] != sparse.outputs[r][v] {
-				t.Fatalf("%s: round %d node %d output dense=%d sparse=%d",
-					label, r+1, v, dense.outputs[r][v], sparse.outputs[r][v])
+		for v := range ref.outputs[r] {
+			if ref.outputs[r][v] != got.outputs[r][v] {
+				t.Fatalf("%s: round %d node %d output ref=%d engine=%d",
+					label, r+1, v, ref.outputs[r][v], got.outputs[r][v])
 			}
 		}
-		for name, pair := range map[string][2][]graph.NodeID{
-			"changed": {dense.changed[r], sparse.changed[r]},
-		} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("%s: round %d %s dense=%v sparse=%v", label, r+1, name, pair[0], pair[1])
-			}
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("%s: round %d %s dense=%v sparse=%v", label, r+1, name, pair[0], pair[1])
-				}
-			}
+		if !slices.Equal(ref.changed[r], got.changed[r]) {
+			t.Fatalf("%s: round %d changed ref=%v engine=%v", label, r+1, ref.changed[r], got.changed[r])
 		}
 		for name, pair := range map[string][2][]graph.EdgeKey{
-			"adds":    {dense.adds[r], sparse.adds[r]},
-			"removes": {dense.removes[r], sparse.removes[r]},
+			"adds":    {ref.adds[r], got.adds[r]},
+			"removes": {ref.removes[r], got.removes[r]},
 		} {
-			if len(pair[0]) != len(pair[1]) {
-				t.Fatalf("%s: round %d %s sizes diverge", label, r+1, name)
-			}
-			for i := range pair[0] {
-				if pair[0][i] != pair[1][i] {
-					t.Fatalf("%s: round %d %s diverge", label, r+1, name)
-				}
+			if !slices.Equal(pair[0], pair[1]) {
+				t.Fatalf("%s: round %d %s diverge (ref %d, engine %d edges)", label, r+1, name, len(pair[0]), len(pair[1]))
 			}
 		}
 	}
 }
 
-func TestSparseMatchesDense(t *testing.T) {
+func TestEngineMatchesReferenceWalk(t *testing.T) {
 	const n = 1024 // above the serial threshold: Workers=4 really shards
 	const rounds = 20
 	mkBase := func(seed uint64) *graph.Graph {
@@ -133,21 +129,46 @@ func TestSparseMatchesDense(t *testing.T) {
 		// confirmed Dominated nodes leave the active set, so this arm
 		// proves dropped and revived nodes stay unobservable.
 		{"dmis", func() engine.Algorithm { return mis.NewDynamic(n) }},
+		// degAlgo's output follows its degree, so a dropped node that is
+		// not re-run when one of its edges churns shows a stale output.
+		{"degree", func() engine.Algorithm { return degAlgo{} }},
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for si, sc := range schedules {
 		for _, ac := range algos {
 			t.Run(sc.name+"/"+ac.name, func(t *testing.T) {
 				seed := uint64(31 + si)
-				dense := runTrace(n, 1, rounds, true, sc.mk(seed), ac.mk())
+				ref := refTrace(n, rounds, sc.mk(seed), ac.mk())
 				for _, w := range workerCounts {
-					sparse := runTrace(n, w, rounds, false, sc.mk(seed), ac.mk())
-					diffFullTraces(t, fmt.Sprintf("workers=%d", w), dense, sparse)
+					got := runTrace(n, w, rounds, sc.mk(seed), ac.mk())
+					diffFullTraces(t, fmt.Sprintf("workers=%d", w), ref, got)
 				}
 			})
 		}
 	}
 }
+
+// degAlgo is silent and outputs 1 + its round degree, reporting
+// quiescent whenever asked. It breaks the Quiescer terminal contract on
+// purpose: its output changes when its degree does, so it is exactly as
+// correct as the engine's promise to re-run a dropped node whenever one
+// of its edges is added or removed.
+type degAlgo struct{}
+
+func (degAlgo) Name() string                         { return "degree-quiet" }
+func (degAlgo) NewNode(graph.NodeID) engine.NodeProc { return &degNode{} }
+
+type degNode struct{ out problems.Value }
+
+func (p *degNode) Start(*engine.Ctx, problems.Value) {}
+func (p *degNode) Broadcast(_ *engine.Ctx, buf []engine.SubMsg) []engine.SubMsg {
+	return buf
+}
+func (p *degNode) Process(_ *engine.Ctx, _ []engine.Incoming, deg int) {
+	p.out = problems.Value(1 + deg)
+}
+func (p *degNode) Output() problems.Value { return p.out }
+func (p *degNode) Quiescent() bool        { return true }
 
 // qcAlgo decides instantly and is quiescent from its first output: each
 // node's first Process sets output 1, then Broadcast stays empty and the

@@ -9,7 +9,7 @@ import (
 // round plane: per-node sorted neighbor rows maintained under the same
 // sorted edge diffs a Patcher consumes, but in O(Σ deg(touched)) per
 // Apply instead of the Patcher's O(n + m) offset-shift pass. It trades
-// the CSR's shared arena (and therefore CumDegree/EdgeKeys) for strictly
+// the CSR's shared arena (and therefore EdgeKeys) for strictly
 // change-proportional updates: the engine walks rows and degrees of the
 // active set only, and a full CSR Graph is materialized lazily — via the
 // Resolver — only when an observer asks for one.

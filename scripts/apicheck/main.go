@@ -15,6 +15,13 @@
 // doc prose (the 4-space-indented text go doc emits), comment-only lines
 // and blanks. Doc wording can therefore improve freely; only the
 // signatures are pinned.
+//
+// go doc prints an exported alias (type EngineConfig = engine.Config) as
+// one line, which would hide the fields of the struct it names. Every
+// alias to a struct type is therefore followed by that struct's exported
+// field lines, taken from go doc of the target declaration with comments
+// dropped and whitespace collapsed, so adding or removing a field (a
+// configuration knob) is API drift like any other.
 package main
 
 import (
@@ -22,6 +29,8 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path"
+	"regexp"
 	"strings"
 )
 
@@ -43,7 +52,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "apicheck: go doc -all .: %v\n", err)
 		os.Exit(1)
 	}
-	got := normalize(string(out))
+	got, err := expandAliases(normalize(string(out)))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "apicheck: %v\n", err)
+		os.Exit(1)
+	}
 
 	if *update {
 		if err := os.WriteFile(snapshotPath, []byte(got), 0o644); err != nil {
@@ -93,6 +106,78 @@ func normalize(doc string) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// aliasRE matches an exported alias to another package's exported type.
+var aliasRE = regexp.MustCompile(`^type ([A-Z]\w*) = (\w+)\.([A-Z]\w*)$`)
+
+// expandAliases appends, after every alias line of the normalized
+// surface, the exported fields of the struct the alias names (nothing
+// for non-struct targets). Package names resolve through the imports of
+// package dynlocal.
+func expandAliases(surface string) (string, error) {
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, ".").Output()
+	if err != nil {
+		return "", fmt.Errorf("go list .: %v", err)
+	}
+	imports := make(map[string]string)
+	for _, p := range strings.Fields(string(out)) {
+		imports[path.Base(p)] = p
+	}
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(surface, "\n") {
+		b.WriteString(line)
+		m := aliasRE.FindStringSubmatch(strings.TrimSuffix(line, "\n"))
+		if m == nil {
+			continue
+		}
+		pkg, ok := imports[m[2]]
+		if !ok {
+			return "", fmt.Errorf("alias %s: package %q is not imported by dynlocal", m[1], m[2])
+		}
+		fields, err := structFields(pkg, m[3])
+		if err != nil {
+			return "", err
+		}
+		for _, f := range fields {
+			b.WriteString("\t" + f + "\n")
+		}
+	}
+	return b.String(), nil
+}
+
+// structFields returns the exported field lines of pkg.typ's declaration
+// as go doc prints it, or nil if the type is not a struct. Field comments
+// are dropped and runs of whitespace collapsed, so only the names and
+// types are pinned, not their doc or alignment.
+func structFields(pkg, typ string) ([]string, error) {
+	out, err := exec.Command("go", "doc", pkg+"."+typ).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go doc %s.%s: %v", pkg, typ, err)
+	}
+	var fields []string
+	inStruct := false
+	for _, line := range strings.Split(string(out), "\n") {
+		if !inStruct {
+			inStruct = line == "type "+typ+" struct {"
+			continue
+		}
+		if line == "}" {
+			break
+		}
+		// Only top-level fields: one tab deep, not a comment.
+		f, ok := strings.CutPrefix(line, "\t")
+		if !ok || strings.HasPrefix(f, "\t") || strings.HasPrefix(f, "//") {
+			continue
+		}
+		if i := strings.Index(f, "//"); i >= 0 {
+			f = f[:i]
+		}
+		if f = strings.Join(strings.Fields(f), " "); f != "" {
+			fields = append(fields, f)
+		}
+	}
+	return fields, nil
 }
 
 // reportDiff prints the set difference of the two line lists — enough to
