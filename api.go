@@ -85,7 +85,8 @@ type (
 	Adversary = adversary.Adversary
 	// AdversaryView is the model-granted information an adversary sees.
 	AdversaryView = adversary.View
-	// AdversaryStep is one adversary move (graph + wake set).
+	// AdversaryStep is one adversary move: the wake set and the round's
+	// topology as a sorted edge diff against the previous round.
 	AdversaryStep = adversary.Step
 	// StaticAdversary plays one fixed graph.
 	StaticAdversary = adversary.Static

@@ -300,6 +300,7 @@ func BenchmarkAblationDesireFloor(b *testing.B) {
 // isolated.
 type pumpAdversary struct {
 	groups int
+	prev   *graph.Graph // last round's graph
 }
 
 func (p *pumpAdversary) Step(v adversary.View) adversary.Step {
@@ -330,7 +331,12 @@ func (p *pumpAdversary) Step(v adversary.View) adversary.Step {
 			b.AddEdge(0, base+i)
 		}
 	}
-	st.G = b.Graph()
+	cur := b.Graph()
+	if p.prev == nil {
+		p.prev = graph.Empty(n)
+	}
+	st.EdgeAdds, st.EdgeRemoves = graph.DiffSortedKeys(p.prev.EdgeKeys(), cur.EdgeKeys(), nil, nil)
+	p.prev = cur
 	return st
 }
 
@@ -626,6 +632,64 @@ func BenchmarkSparseRound(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// benchView is a bare adversary.View for driving an adversary without an
+// engine: every node awake, no delayed outputs.
+type benchView struct{ r, n int }
+
+func (v *benchView) Round() int                       { return v.r }
+func (v *benchView) N() int                           { return v.n }
+func (v *benchView) Awake(graph.NodeID) bool          { return true }
+func (v *benchView) DelayedOutputs() []problems.Value { return nil }
+
+// BenchmarkWrapperStep times one steady-state round of a wrapper
+// adversary over churn at N=65536 — the adversary's own cost of turning
+// the inner diff into the round's diff, with no engine attached. Wakeup's
+// staggered schedule has woken every node before the timer starts;
+// LocalStatic freezes the 2-balls of 16 protected nodes.
+func BenchmarkWrapperStep(b *testing.B) {
+	const n = 1 << 16
+	base := GNP(n, 8.0/float64(n), 21)
+	protected := make([]graph.NodeID, 16)
+	for i := range protected {
+		protected[i] = graph.NodeID(i * (n / 16))
+	}
+	cells := []struct {
+		name string
+		mk   func() adversary.Adversary
+	}{
+		{"wakeup-over-churn", func() adversary.Adversary {
+			return &adversary.Wakeup{
+				Inner:    NewChurn(base, 64, 64, 22),
+				Schedule: adversary.StaggeredSchedule(n, n/8),
+			}
+		}},
+		{"localstatic-over-churn", func() adversary.Adversary {
+			return &adversary.LocalStatic{
+				Inner: NewChurn(base, 64, 64, 22), Base: base,
+				Protected: protected, Alpha: 2,
+			}
+		}},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			adv := c.mk()
+			v := &benchView{n: n}
+			changes := 0
+			for v.r = 1; v.r <= 16; v.r++ {
+				adv.Step(v)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := adv.Step(v)
+				changes += len(st.EdgeAdds) + len(st.EdgeRemoves)
+				v.r++
+			}
+			b.ReportMetric(float64(changes)/float64(b.N), "changes/round")
+		})
 	}
 }
 

@@ -2,12 +2,16 @@ package dynlocal
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
+
+	"dynlocal/internal/adversary"
+	"dynlocal/internal/prf"
 )
 
 var updateChainGolden = flag.Bool("update", false, "rewrite the golden chain fixture under testdata/")
@@ -197,5 +201,46 @@ func TestComposedChainGolden(t *testing.T) {
 	}
 	if last := recRounds[len(recRounds)-1]; eng.Round() != last {
 		t.Fatalf("golden chain restored at round %d, want %d", eng.Round(), last)
+	}
+}
+
+// TestProbeAdversariesRefuseCheckpoint pins that the adversary probes —
+// whose burned or injected edges are not serialized — make every
+// checkpoint writer fail with adversary.ErrProbeCheckpoint rather than
+// write a record whose resume would diverge. The delta case enables the
+// engine's dirty tracking by hand, since no base record can exist.
+func TestProbeAdversariesRefuseCheckpoint(t *testing.T) {
+	const n = 64
+	base := GNP(n, 6.0/float64(n), 3)
+	probes := map[string]func() Adversary{
+		"luby-staller": func() Adversary {
+			return &ClairvoyantAdversary{Base: base, Seed: 5, Purpose: prf.PurposeLubyAlpha}
+		},
+		"conflict-injector": func() Adversary {
+			return &ConflictInjector{Inner: NewChurn(base, 2, 2, 6), Rate: 2, MinRound: 1, Seed: 7}
+		},
+	}
+	for name, mk := range probes {
+		t.Run(name, func(t *testing.T) {
+			algo := NewMIS(n)
+			e := NewEngine(EngineConfig{N: n, Seed: 5, Workers: 1}, mk(), algo)
+			chk := NewTDynamicChecker(MISProblem(), algo.T1, n)
+			e.OnRound(func(info *RoundInfo) { chk.Feed(info.Delta()) })
+			e.Run(4)
+			var buf bytes.Buffer
+			writers := map[string]func() error{
+				"Checkpoint":           func() error { return e.Checkpoint(&buf) },
+				"WriteCheckpointChain": func() error { return WriteCheckpointChain(&buf, e, chk) },
+				"AppendCheckpointDelta": func() error {
+					e.NoteCheckpointBase(0)
+					return AppendCheckpointDelta(&buf, e, chk)
+				},
+			}
+			for wname, write := range writers {
+				if err := write(); !errors.Is(err, adversary.ErrProbeCheckpoint) {
+					t.Errorf("%s: err = %v, want ErrProbeCheckpoint", wname, err)
+				}
+			}
+		})
 	}
 }

@@ -30,6 +30,10 @@ import (
 // waypointMobility drives nodes toward random waypoints; a fraction of
 // the nodes is parked (never moves), giving the locally-static regions
 // the stability guarantee applies to.
+//
+// An adversary step is an edge diff, so a snapshot model like this one
+// keeps its previous graph and sends the merge diff of the two graphs'
+// sorted EdgeKeys.
 type waypointMobility struct {
 	pts      []dynlocal.Point
 	dst      []dynlocal.Point
@@ -38,6 +42,7 @@ type waypointMobility struct {
 	radius   float64
 	seed     uint64
 	rngState uint64
+	prev     *dynlocal.Graph // last round's graph, nil before round 1
 }
 
 func (m *waypointMobility) rand() float64 {
@@ -67,11 +72,39 @@ func (m *waypointMobility) Step(v dynlocal.AdversaryView) dynlocal.AdversaryStep
 			m.pts[i].Y += dy * norm
 		}
 	}
-	st := dynlocal.AdversaryStep{G: dynlocal.Geometric(m.pts, m.radius)}
-	if v.Round() == 1 {
+	cur := dynlocal.Geometric(m.pts, m.radius)
+	st := dynlocal.AdversaryStep{}
+	var prev []dynlocal.EdgeKey
+	if m.prev != nil {
+		prev = m.prev.EdgeKeys()
+	} else {
 		st.Wake = dynlocal.AllNodes(len(m.pts))
 	}
+	st.EdgeAdds, st.EdgeRemoves = diffKeys(prev, cur.EdgeKeys())
+	m.prev = cur
 	return st
+}
+
+// diffKeys merges two ascending edge-key lists into the edges only in cur
+// (adds) and the edges only in prev (removes), both ascending.
+func diffKeys(prev, cur []dynlocal.EdgeKey) (adds, removes []dynlocal.EdgeKey) {
+	i, j := 0, 0
+	for i < len(prev) && j < len(cur) {
+		switch {
+		case prev[i] < cur[j]:
+			removes = append(removes, prev[i])
+			i++
+		case prev[i] > cur[j]:
+			adds = append(adds, cur[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	removes = append(removes, prev[i:]...)
+	adds = append(adds, cur[j:]...)
+	return adds, removes
 }
 
 func sqrt(x float64) float64 {

@@ -14,35 +14,33 @@
 // # Delta-native steps
 //
 // A highly dynamic network is naturally described by what changed, not by
-// a fresh graph: a Step may carry the round's topology as a sorted edge
-// diff (EdgeAdds/EdgeRemoves, with G == nil) instead of a materialized
-// graph. EdgeMarkov, Churn, LocalStatic and Scripted emit such delta
-// steps natively — their own state transitions are the diff — so a round
-// costs O(changes) end to end: the engine folds the diff into its pooled
-// CSR patcher (graph.Patcher) and the windows/checkers consume it
-// directly. Adversaries that materialize (Static, Alternator,
-// LubyStaller, the wrappers) keep returning full graphs; Resolver turns
-// either kind of step into a (graph, adds, removes) triple, synthesizing
-// the diff by a linear edge-key merge when only a graph was given.
+// a fresh graph, and that is how the model defines the adversary: each
+// round it inserts and deletes edges. A Step therefore carries the
+// round's topology as a sorted edge diff (EdgeAdds/EdgeRemoves) against
+// the adversary's previous round, and nothing else. Every adversary emits
+// its own diff: Static adds its graph once, Alternator diffs A↔B in the
+// rounds it switches, LubyStaller removes the edges it burns, and the
+// wrappers (LocalStatic, Wakeup, ConflictInjector) filter or augment
+// their inner adversary's diff in O(changes). A round costs O(changes)
+// end to end: the engine folds the diff into its incrementally patched
+// adjacency and the windows/checkers consume it directly; no CSR graph is
+// built unless an observer asks for one.
 //
 // Invariants all adversaries maintain:
 //
-//   - Determinism: graph sequences are functions of (parameters, seed)
-//     only. Randomized adversaries draw from prf streams over sorted
-//     edge-key slices — never from Go map iteration order — so a (kind,
-//     seed) pair names one reproducible execution.
-//   - Model validity: returned topologies live on the engine's fixed
-//     n-node universe and edges only touch awake nodes (the engine
-//     asserts this on every added edge); wake-ups are monotone,
-//     V_{r-1} ⊆ V_r.
-//   - Delta steps describe the diff against the adversary's previous
-//     round exactly (strictly ascending keys, adds absent before, removes
-//     present before); the engine's patcher panics on any divergence.
-//   - Materialized graphs are immutable graph.Graph values and may be
-//     retained by observers; adversaries never mutate a graph they have
-//     handed out. Delta steps may alias adversary-owned buffers that are
-//     reused on the next Step — consumers must finish with them within
-//     the round.
+//   - Determinism: topology sequences are functions of (parameters,
+//     seed) only. Randomized adversaries draw from prf streams over
+//     sorted edge-key slices — never from Go map iteration order — so a
+//     (kind, seed) pair names one reproducible execution.
+//   - Model validity: topologies live on the engine's fixed n-node
+//     universe and edges only touch awake nodes (the engine asserts this
+//     on every added edge); wake-ups are monotone, V_{r-1} ⊆ V_r.
+//   - Steps describe the diff against the adversary's previous round
+//     exactly (strictly ascending keys, adds absent before, removes
+//     present before); the engine panics on any divergence.
+//   - Step slices may alias adversary-owned buffers (or an immutable
+//     graph's key view) that are reused on the next Step — consumers
+//     must finish with them within the round and must not modify them.
 //
 // Downstream, the per-round topologies feed the engine's two
 // communication phases (internal/engine) and the sliding windows
@@ -52,29 +50,21 @@ package adversary
 
 import (
 	"io"
-	"slices"
 
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 	"dynlocal/internal/problems"
 )
 
-// Step is the adversary's move for one round: either a materialized
-// communication graph G_r, or — when G is nil — a delta-native step whose
-// EdgeAdds/EdgeRemoves describe G_r as a sorted diff against the
+// Step is the adversary's move for one round: the nodes waking up and
+// the communication graph G_r as a sorted edge diff against the
 // adversary's previous round (round 1 diffs against the empty graph G_0).
 type Step struct {
-	// G is the communication graph G_r; nil for a delta step. It may
-	// alias pooled resolver/patcher arenas valid for the round.
-	//dynlint:loan
-	G    *graph.Graph
 	Wake []graph.NodeID // nodes waking up at the start of round r
-	// EdgeAdds and EdgeRemoves are the sorted edge diff of a delta step:
-	// strictly ascending canonical keys, every added edge absent from and
-	// every removed edge present in the previous round's topology. Ignored
-	// when G is non-nil (the graph is authoritative; Resolver synthesizes
-	// the diff). The slices may alias adversary-owned buffers reused on
-	// the next Step.
+	// EdgeAdds and EdgeRemoves are the round's sorted edge diff: strictly
+	// ascending canonical keys, every added edge absent from and every
+	// removed edge present in the previous round's topology. The slices
+	// may alias adversary-owned buffers reused on the next Step.
 	//dynlint:loan
 	//dynlint:sorted
 	EdgeAdds, EdgeRemoves []graph.EdgeKey
@@ -87,8 +77,6 @@ type View interface {
 	Round() int
 	// N is the size of the potential-node universe.
 	N() int
-	// PrevGraph returns G_{r-1} (the empty graph before round 1).
-	PrevGraph() *graph.Graph
 	// Awake reports whether v is awake entering this round.
 	Awake(v graph.NodeID) bool
 	// DelayedOutputs returns the output snapshot at the end of round
@@ -100,156 +88,10 @@ type View interface {
 
 // Adversary produces the graph sequence.
 type Adversary interface {
-	// Step returns round view.Round()'s topology (materialized or as a
-	// delta, see Step) and wake set. The topology must only contain edges
-	// between nodes awake after the wake set is applied.
+	// Step returns round view.Round()'s wake set and topology diff (see
+	// Step). The topology must only contain edges between nodes awake
+	// after the wake set is applied.
 	Step(view View) Step
-}
-
-// Resolver materializes the topology stream of a possibly delta-native
-// adversary and reports every round's sorted edge diff, so consumers —
-// the engine, wrapper adversaries, tests — can handle both step kinds
-// uniformly. Delta steps are folded into a pooled graph.Patcher (one
-// block-copy merge, no counting rebuild); materialized steps are adopted
-// as-is and their diff synthesized with one linear merge over the
-// EdgeKeys views of consecutive rounds.
-//
-// Lifetimes follow the patcher's double buffering: a resolved graph stays
-// valid through the next Resolve call and may be recycled by the one
-// after that; the returned diff slices are valid until the next Resolve.
-// Clone anything retained longer.
-//
-// Resolver has two mutually exclusive feeds. Resolve is the eager one:
-// every round yields a materialized graph (wrapper adversaries and tests
-// use it). Observe/Materialize is the lazy one the engine's sparse round
-// plane uses: Observe only reports each round's diff — folding it into a
-// pending net-diff — and a CSR graph is built just when Materialize is
-// called, so delta-native rounds never pay the patcher's O(n + m) merge.
-// The pending net-diff is bounded by the symmetric difference against the
-// last materialized graph, i.e. O(m) however many rounds pass between
-// materializations.
-type Resolver struct {
-	p *graph.Patcher
-	// prev holds the previous round's graph, which may alias a pooled
-	// patcher arena: a sanctioned loan-to-loan handoff — the patcher's
-	// double buffering keeps it valid exactly as long as the resolver
-	// needs it.
-	//dynlint:loan
-	prev   *graph.Graph
-	addBuf []graph.EdgeKey
-	remBuf []graph.EdgeKey
-
-	// Lazy plane (Observe/Materialize): the net edge diff accumulated
-	// since prev was last materialized, with exact add/remove
-	// cancellation, plus sort scratch for Materialize. Kept separate from
-	// addBuf/remBuf so a mid-round Materialize cannot clobber diff slices
-	// an Observe caller is still holding.
-	pendAdd, pendRem map[graph.EdgeKey]struct{}
-	matAdd, matRem   []graph.EdgeKey
-}
-
-// NewResolver creates a resolver over an n-node universe; the previous
-// topology starts as the empty graph G_0.
-func NewResolver(n int) *Resolver {
-	p := graph.NewPatcher(n)
-	return &Resolver{
-		p: p, prev: p.Current(),
-		pendAdd: make(map[graph.EdgeKey]struct{}),
-		pendRem: make(map[graph.EdgeKey]struct{}),
-	}
-}
-
-// Resolve turns st into a (graph, adds, removes) triple. For a delta step
-// the graph is patched from the previous round and the given diff is
-// passed through; for a materialized step the diff is synthesized. The
-// same-graph fast path (adversaries like Static replay one immutable
-// graph) costs O(1).
-//
-//dynlint:loan
-func (r *Resolver) Resolve(st *Step) (g *graph.Graph, adds, removes []graph.EdgeKey) {
-	if st.G == nil {
-		r.p.Reset(r.prev)
-		g = r.p.Apply(st.EdgeAdds, st.EdgeRemoves)
-		r.prev = g
-		return g, st.EdgeAdds, st.EdgeRemoves
-	}
-	g = st.G
-	if g == r.prev {
-		return g, nil, nil
-	}
-	adds, removes = graph.DiffSortedKeys(r.prev.EdgeKeys(), g.EdgeKeys(), r.addBuf[:0], r.remBuf[:0])
-	r.addBuf, r.remBuf = adds, removes
-	r.prev = g
-	return g, adds, removes
-}
-
-// Observe is the lazy sibling of Resolve: it reports the round's sorted
-// edge diff without materializing a graph. Delta steps pass their diff
-// through and fold it into the resolver's pending net-diff (with exact
-// add/remove cancellation), so a delta-native round costs O(changes) and
-// allocates nothing; materialized steps are adopted as-is (after catching
-// the pending diff up) and their diff synthesized as in Resolve. The
-// current graph is produced on demand by Materialize. The returned
-// slices follow the same lifetime as Resolve's: valid until the next
-// Observe. Observe and Resolve must not be mixed on one Resolver.
-//
-//dynlint:loan
-func (r *Resolver) Observe(st *Step) (adds, removes []graph.EdgeKey) {
-	if st.G == nil {
-		for _, k := range st.EdgeAdds {
-			if _, ok := r.pendRem[k]; ok {
-				delete(r.pendRem, k)
-			} else {
-				r.pendAdd[k] = struct{}{}
-			}
-		}
-		for _, k := range st.EdgeRemoves {
-			if _, ok := r.pendAdd[k]; ok {
-				delete(r.pendAdd, k)
-			} else {
-				r.pendRem[k] = struct{}{}
-			}
-		}
-		return st.EdgeAdds, st.EdgeRemoves
-	}
-	prev := r.Materialize()
-	g := st.G
-	if g == prev {
-		return nil, nil
-	}
-	adds, removes = graph.DiffSortedKeys(prev.EdgeKeys(), g.EdgeKeys(), r.addBuf[:0], r.remBuf[:0])
-	r.addBuf, r.remBuf = adds, removes
-	r.prev = g
-	return adds, removes
-}
-
-// Materialize returns the current graph of the Observe feed, folding any
-// pending net diff into the pooled patcher first. With no pending changes
-// it is O(1) (the previously materialized graph is returned unchanged);
-// otherwise it costs one O(n + m) patcher merge — which is why the engine
-// only calls it on demand, never per round. The returned graph follows
-// the patcher lifetime: valid until the second-next materialization that
-// actually patches; Clone to retain longer.
-func (r *Resolver) Materialize() *graph.Graph {
-	if len(r.pendAdd) == 0 && len(r.pendRem) == 0 {
-		return r.prev
-	}
-	r.matAdd = sortedKeys(r.pendAdd, r.matAdd[:0])
-	r.matRem = sortedKeys(r.pendRem, r.matRem[:0])
-	clear(r.pendAdd)
-	clear(r.pendRem)
-	r.p.Reset(r.prev)
-	r.prev = r.p.Apply(r.matAdd, r.matRem)
-	return r.prev
-}
-
-// sortedKeys appends a key set to dst in ascending order.
-func sortedKeys(set map[graph.EdgeKey]struct{}, dst []graph.EdgeKey) []graph.EdgeKey {
-	for k := range set {
-		dst = append(dst, k)
-	}
-	slices.Sort(dst)
-	return dst
 }
 
 // AllNodes returns the full wake set 0..n-1.
@@ -263,102 +105,86 @@ func AllNodes(n int) []graph.NodeID {
 
 // Static plays a fixed graph every round and wakes all nodes at round 1.
 // With this adversary the simulation reduces to the classic static
-// synchronous model (Section 6). It hands out the same immutable graph
-// each round, which the Resolver recognizes as an O(1) empty diff.
+// synchronous model (Section 6). Its round-1 diff adds the whole graph
+// (the graph's own sorted key view); every later diff is empty.
 type Static struct {
 	G *graph.Graph
 }
 
 // Step implements Adversary.
 func (s Static) Step(v View) Step {
-	st := Step{G: s.G}
-	if v.Round() == 1 {
-		st.Wake = AllNodes(s.G.N())
+	if v.Round() != 1 {
+		return Step{}
 	}
-	return st
+	return Step{Wake: AllNodes(s.G.N()), EdgeAdds: s.G.EdgeKeys()}
 }
 
 // Alternator switches between two graphs A and B, playing A for Period
 // rounds, then B for Period rounds, and so on. Period <= 0 behaves as 1
 // (strict alternation — the high-frequency worst case discussed in the
-// introduction, under which the window graphs become weak).
+// introduction, under which the window graphs become weak). Only the
+// rounds that switch carry a diff: the symmetric difference of A and B,
+// one linear merge of their sorted key views.
 type Alternator struct {
 	A, B   *graph.Graph
 	Period int
 }
 
-// Step implements Adversary.
-func (a Alternator) Step(v View) Step {
-	p := a.Period
-	if p <= 0 {
-		p = 1
+// phase returns the graph Alternator plays in round r.
+func (a Alternator) phase(r int) *graph.Graph {
+	p := max(a.Period, 1)
+	if ((r-1)/p)%2 == 0 {
+		return a.A
 	}
-	st := Step{}
-	if ((v.Round()-1)/p)%2 == 0 {
-		st.G = a.A
-	} else {
-		st.G = a.B
-	}
-	if v.Round() == 1 {
-		st.Wake = AllNodes(a.A.N())
-	}
-	return st
+	return a.B
 }
 
-// Scripted replays a recorded trace. Traces that expose their deltas
-// (dyngraph.Trace via DeltaSource) are replayed delta-natively — no graph
-// is ever materialized, each round is its recorded edge diff — and after
-// the trace is exhausted the final topology persists as empty diffs.
-// Plain TraceSources fall back to materialized steps.
+// Step implements Adversary.
+func (a Alternator) Step(v View) Step {
+	r := v.Round()
+	if r == 1 {
+		return Step{Wake: AllNodes(a.A.N()), EdgeAdds: a.A.EdgeKeys()}
+	}
+	prev, cur := a.phase(r-1), a.phase(r)
+	if prev == cur {
+		return Step{}
+	}
+	adds, removes := graph.DiffSortedKeys(prev.EdgeKeys(), cur.EdgeKeys(), nil, nil)
+	return Step{EdgeAdds: adds, EdgeRemoves: removes}
+}
+
+// Scripted replays a recorded trace from memory, round by round as its
+// recorded edge diffs; after the trace is exhausted the final topology
+// persists as empty diffs.
 type Scripted struct {
 	steps []Step
 }
 
-// TraceSource is the replay surface of dyngraph.Trace, declared locally to
+// DeltaSource is the replay surface of dyngraph.Trace, declared locally to
 // keep the package dependency-light.
-type TraceSource interface {
-	Replay(fn func(round int, g *graph.Graph, wake []graph.NodeID))
-}
-
-// DeltaSource is the delta-native replay surface of dyngraph.Trace.
-// Sources that implement it are scripted as edge diffs.
 type DeltaSource interface {
 	ReplayDeltas(fn func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID))
 }
 
-// NewScripted materializes a trace into an adversary, preferring the
-// delta-native replay surface when the source offers one.
-func NewScripted(tr TraceSource) *Scripted {
+// NewScripted copies a trace's rounds into an adversary.
+func NewScripted(tr DeltaSource) *Scripted {
 	s := &Scripted{}
-	if ds, ok := tr.(DeltaSource); ok {
-		ds.ReplayDeltas(func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
-			s.steps = append(s.steps, Step{
-				Wake:        append([]graph.NodeID(nil), wake...),
-				EdgeAdds:    append([]graph.EdgeKey(nil), adds...),
-				EdgeRemoves: append([]graph.EdgeKey(nil), removes...),
-			})
+	tr.ReplayDeltas(func(round int, adds, removes []graph.EdgeKey, wake []graph.NodeID) {
+		s.steps = append(s.steps, Step{
+			Wake:        append([]graph.NodeID(nil), wake...),
+			EdgeAdds:    append([]graph.EdgeKey(nil), adds...),
+			EdgeRemoves: append([]graph.EdgeKey(nil), removes...),
 		})
-		return s
-	}
-	tr.Replay(func(round int, g *graph.Graph, wake []graph.NodeID) {
-		s.steps = append(s.steps, Step{G: g, Wake: append([]graph.NodeID(nil), wake...)})
 	})
 	return s
 }
 
 // Step implements Adversary.
 func (s *Scripted) Step(v View) Step {
-	r := v.Round()
-	if r <= len(s.steps) {
+	if r := v.Round(); r <= len(s.steps) {
 		return s.steps[r-1]
 	}
-	if len(s.steps) == 0 || s.steps[0].G == nil {
-		// Delta-native script (or empty trace): an empty diff keeps the
-		// final topology playing.
-		return Step{}
-	}
-	last := s.steps[len(s.steps)-1]
-	return Step{G: last.G}
+	return Step{}
 }
 
 // DeltaStreamSource is the streaming replay surface of

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -11,24 +12,19 @@ import (
 )
 
 // fakeView is a scriptable View for adversary unit tests. Its play helper
-// resolves delta-native steps through a Resolver, so tests can assert on
-// materialized graphs regardless of which step kind an adversary emits.
-// Resolved graphs are pooled (valid for the current and next play); tests
-// that retain one longer Clone it.
+// folds each step's diff into the view's own edge set — panicking on any
+// breach of the Step contract — and rebuilds the round's graph from it,
+// so tests can assert on whole graphs.
 type fakeView struct {
-	round int
-	n     int
-	// prev may alias a pooled resolver arena, exactly like Resolver.prev.
-	//dynlint:loan
-	prev    *graph.Graph
+	round   int
+	n       int
 	awake   []bool
 	delayed []problems.Value
-	res     *Resolver
+	edges   map[graph.EdgeKey]bool // topology folded from the played diffs
 }
 
-func (f *fakeView) Round() int              { return f.round }
-func (f *fakeView) N() int                  { return f.n }
-func (f *fakeView) PrevGraph() *graph.Graph { return f.prev }
+func (f *fakeView) Round() int { return f.round }
+func (f *fakeView) N() int     { return f.n }
 func (f *fakeView) Awake(v graph.NodeID) bool {
 	if f.awake == nil {
 		return true
@@ -38,18 +34,54 @@ func (f *fakeView) Awake(v graph.NodeID) bool {
 func (f *fakeView) DelayedOutputs() []problems.Value { return f.delayed }
 
 func newFakeView(n int) *fakeView {
-	return &fakeView{round: 0, n: n, prev: graph.Empty(n), res: NewResolver(n)}
+	return &fakeView{round: 0, n: n, edges: make(map[graph.EdgeKey]bool)}
 }
 
-// play advances the adversary one round and returns the step with its
-// graph materialized (delta steps are folded through the resolver).
-func (f *fakeView) play(a Adversary) Step {
+// played is a step together with the graph its diff produced.
+type played struct {
+	Step
+	G *graph.Graph
+}
+
+// play advances the adversary one round and returns the step with the
+// round's graph.
+func (f *fakeView) play(a Adversary) played {
 	f.round++
 	st := a.Step(f)
-	g, _, _ := f.res.Resolve(&st)
-	st.G = g
-	f.prev = g
-	return st
+	return played{st, f.fold(st)}
+}
+
+// fold applies a step's diff to the edge set, checking the Step contract
+// (strictly ascending keys inside [0, n), adds absent, removes present),
+// and returns the resulting graph.
+func (f *fakeView) fold(st Step) *graph.Graph {
+	for _, diff := range []struct {
+		keys  []graph.EdgeKey
+		added bool
+	}{{st.EdgeAdds, true}, {st.EdgeRemoves, false}} {
+		for i, k := range diff.keys {
+			if i > 0 && diff.keys[i-1] >= k {
+				panic(fmt.Sprintf("round %d: diff not strictly ascending at %v", f.round, k))
+			}
+			if u, v := k.Nodes(); u < 0 || u >= v || int(v) >= f.n {
+				panic(fmt.Sprintf("round %d: edge %v outside [0,%d)", f.round, k, f.n))
+			}
+			if f.edges[k] == diff.added {
+				panic(fmt.Sprintf("round %d: diff entry %v (added=%v) does not change the topology", f.round, k, diff.added))
+			}
+			if diff.added {
+				f.edges[k] = true
+			} else {
+				delete(f.edges, k)
+			}
+		}
+	}
+	keys := make([]graph.EdgeKey, 0, len(f.edges))
+	for k := range f.edges {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return graph.FromSortedEdges(f.n, keys)
 }
 
 func TestStaticAdversary(t *testing.T) {
@@ -146,7 +178,7 @@ func TestChurnActuallyChurns(t *testing.T) {
 	base := graph.GNP(30, 0.2, prf.NewStream(2, 0, 0, prf.PurposeWorkload))
 	adv := &Churn{Base: base, Add: 5, Del: 5, Seed: 7}
 	v := newFakeView(30)
-	first := v.play(adv).G.Clone() // retained past the resolver's pooling window
+	first := v.play(adv).G
 	tenth := first
 	for r := 2; r <= 10; r++ {
 		tenth = v.play(adv).G
@@ -372,9 +404,8 @@ func TestLubyStallerLeavesDecidedAlone(t *testing.T) {
 	adv := &LubyStaller{Base: base, Seed: 1, Purpose: prf.PurposeLubyAlpha}
 	v := newFakeView(4)
 	// All nodes decided: no undecided-undecided edges, nothing to delete.
-	v.round = 1
 	v.delayed = []problems.Value{problems.InMIS, problems.Dominated, problems.InMIS, problems.Dominated}
-	st := adv.Step(v)
+	st := v.play(adv)
 	if st.G.M() != base.M() {
 		t.Fatalf("edges deleted despite all nodes decided: %d vs %d", st.G.M(), base.M())
 	}
@@ -387,17 +418,20 @@ func TestAllNodes(t *testing.T) {
 	}
 }
 
-// TestDeltaStepsAreExactDiffs drives every delta-capable adversary (plus
-// wrappers over delta-native inners) and checks the Step contract: emitted
-// diffs are strictly ascending, adds are absent from and removes present
-// in the previous topology, and folding them reproduces exactly the
-// resolved graph sequence.
+// TestDeltaStepsAreExactDiffs drives every adversary kind (plus wrappers
+// over them) against churning delayed outputs and checks the Step
+// contract: emitted diffs are strictly ascending, adds are absent from and
+// removes present in the previous topology.
 func TestDeltaStepsAreExactDiffs(t *testing.T) {
 	const n = 28
 	mkBase := func(seed uint64) *graph.Graph {
 		return graph.GNP(n, 0.2, prf.NewStream(seed, 0, 0, prf.PurposeWorkload))
 	}
 	advs := map[string]func() Adversary{
+		"static": func() Adversary { return Static{G: mkBase(10)} },
+		"alternator": func() Adversary {
+			return Alternator{A: mkBase(11), B: mkBase(12), Period: 2}
+		},
 		"churn": func() Adversary {
 			return &Churn{Base: mkBase(1), Add: 4, Del: 4, Seed: 5}
 		},
@@ -413,13 +447,25 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 				Alpha:     2,
 			}
 		},
-		"local-static-over-materialized": func() Adversary {
+		"local-static-over-luby-staller": func() Adversary {
 			base := mkBase(4)
 			return &LocalStatic{
 				Inner:     &LubyStaller{Base: base, Seed: 8, Purpose: prf.PurposeLubyAlpha},
 				Base:      base,
 				Protected: []graph.NodeID{1},
 				Alpha:     1,
+			}
+		},
+		"wakeup": func() Adversary {
+			return &Wakeup{
+				Inner:    &Churn{Base: mkBase(13), Add: 6, Del: 6, Seed: 14},
+				Schedule: UniformRandomSchedule(n, 8, 15),
+			}
+		},
+		"conflict-injector": func() Adversary {
+			return &ConflictInjector{
+				Inner: &EdgeMarkov{Footprint: mkBase(16), POn: 0.4, POff: 0.4, Seed: 17},
+				Rate:  5, MinRound: 2, Seed: 18,
 			}
 		},
 		"scripted": func() Adversary {
@@ -442,131 +488,21 @@ func TestDeltaStepsAreExactDiffs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			adv := mk()
 			v := newFakeView(n)
-			present := make(map[graph.EdgeKey]bool)
-			sawDeltaStep := false
+			outs := prf.NewStream(19, 0, 0, prf.PurposeWorkload)
+			changes := 0
 			for r := 1; r <= 12; r++ {
-				v.round = r
-				st := adv.Step(v)
-				if st.G != nil {
-					t.Fatalf("round %d: expected a delta-native step", r)
+				// Few distinct values, so ConflictInjector finds equal pairs.
+				v.delayed = make([]problems.Value, n)
+				for i := range v.delayed {
+					v.delayed[i] = problems.Value(outs.Intn(4))
 				}
-				sawDeltaStep = true
-				for i, k := range st.EdgeAdds {
-					if i > 0 && st.EdgeAdds[i-1] >= k {
-						t.Fatalf("round %d: adds not strictly ascending", r)
-					}
-					if present[k] {
-						t.Fatalf("round %d: add of present edge %v", r, k)
-					}
-					present[k] = true
-				}
-				for i, k := range st.EdgeRemoves {
-					if i > 0 && st.EdgeRemoves[i-1] >= k {
-						t.Fatalf("round %d: removes not strictly ascending", r)
-					}
-					if !present[k] {
-						t.Fatalf("round %d: remove of absent edge %v", r, k)
-					}
-					delete(present, k)
-				}
-				g, _, _ := v.res.Resolve(&st)
-				v.prev = g
-				if g.M() != len(present) {
-					t.Fatalf("round %d: folded %d edges, resolved graph has %d", r, len(present), g.M())
-				}
-				for k := range present {
-					if !g.HasEdge(k.Nodes()) {
-						t.Fatalf("round %d: folded edge %v missing from resolved graph", r, k)
-					}
-				}
+				st := v.play(adv) // panics on any breach of the contract
+				changes += len(st.EdgeAdds) + len(st.EdgeRemoves)
 			}
-			if !sawDeltaStep {
-				t.Fatal("adversary emitted no delta steps")
+			if changes == 0 {
+				t.Fatal("adversary emitted no edge changes")
 			}
 		})
-	}
-}
-
-// switchingInner flips between delta-native and materialized steps —
-// the step pattern a ConflictInjector-style wrapper produces — to pin
-// that LocalStatic's diff tracking survives mid-run switches.
-type switchingInner struct {
-	inner        Adversary
-	res          *Resolver
-	materialized func(round int) bool
-}
-
-func (s *switchingInner) Step(v View) Step {
-	st := s.inner.Step(v)
-	if s.res == nil {
-		s.res = NewResolver(v.N())
-	}
-	g, _, _ := s.res.Resolve(&st)
-	if s.materialized(v.Round()) {
-		return Step{G: g, Wake: st.Wake}
-	}
-	return st
-}
-
-// TestLocalStaticOverSwitchingInner drives LocalStatic over an inner
-// that alternates step kinds and checks the emitted diffs stay exact
-// (folding them through a Resolver must not panic and the frozen ball
-// must stay static) — the composition that a stale inner mirror broke.
-func TestLocalStaticOverSwitchingInner(t *testing.T) {
-	s := prf.NewStream(6, 0, 0, prf.PurposeWorkload)
-	base := graph.GNP(36, 0.18, s)
-	const protectedNode = 5
-	adv := &LocalStatic{
-		Inner: &switchingInner{
-			inner: &Churn{Base: base, Add: 6, Del: 6, Seed: 11},
-			// Delta rounds 1-4, materialized 5-8, delta again, then
-			// every third round materialized.
-			materialized: func(r int) bool { return (r >= 5 && r <= 8) || r%3 == 0 },
-		},
-		Base:      base,
-		Protected: []graph.NodeID{protectedNode},
-		Alpha:     2,
-	}
-	v := newFakeView(36)
-	prev := (*graph.Graph)(nil)
-	for r := 1; r <= 24; r++ {
-		st := v.play(adv) // play resolves: panics here on an inexact diff
-		if prev != nil && !graph.BallStatic(prev, st.G, protectedNode, 2) {
-			t.Fatalf("round %d: protected ball changed", r)
-		}
-		prev = st.G
-	}
-}
-
-// TestResolverSynthesizesDiffsForMaterializedSteps pins the legacy path:
-// graph-valued steps yield exactly the edge diff of consecutive graphs,
-// with an O(1) empty diff when the same graph object is replayed.
-func TestResolverSynthesizesDiffsForMaterializedSteps(t *testing.T) {
-	a, b := graph.Path(6), graph.Cycle(6)
-	res := NewResolver(6)
-	st := Step{G: a}
-	_, adds, removes := res.Resolve(&st)
-	if len(adds) != a.M() || len(removes) != 0 {
-		t.Fatalf("first resolve: %d adds %d removes, want %d/0", len(adds), len(removes), a.M())
-	}
-	// Same pointer: empty diff.
-	st = Step{G: a}
-	_, adds, removes = res.Resolve(&st)
-	if len(adds) != 0 || len(removes) != 0 {
-		t.Fatalf("same-graph resolve: %d adds %d removes", len(adds), len(removes))
-	}
-	// Path -> Cycle: one edge appears ({0,5}), none disappear.
-	st = Step{G: b}
-	_, adds, removes = res.Resolve(&st)
-	if len(adds) != 1 || adds[0] != graph.MakeEdgeKey(0, 5) || len(removes) != 0 {
-		t.Fatalf("path->cycle diff: adds %v removes %v", adds, removes)
-	}
-	// Mixed: a delta step after materialized steps patches from the last
-	// graph.
-	st = Step{EdgeRemoves: []graph.EdgeKey{graph.MakeEdgeKey(0, 5)}}
-	g, _, _ := res.Resolve(&st)
-	if !g.Equal(a) {
-		t.Fatalf("delta-after-materialized resolve: got %s, want path", g)
 	}
 }
 

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -15,6 +16,7 @@ import (
 // steps the original would have. Stateless adversaries (Static,
 // Alternator, Scripted — their Step is a pure function of the round)
 // need no Checkpointer: the engine restores them by round number alone.
+// The probes implement it only to refuse (ErrProbeCheckpoint).
 //
 // The randomized adversaries draw from per-round PRF streams
 // (advStream), so their "position" is exactly their mutable state —
@@ -429,30 +431,23 @@ func loadInner(r *ckpt.Reader, inner Adversary) {
 
 // SaveState implements Checkpointer. The frozen zone and its base edges
 // are derived from configuration (Base, Protected, Alpha) and rebuilt by
-// init() on restore; the only serialized wrapper state is the inner-
-// topology mirror, written with sorted keys for deterministic bytes
-// (it is a set — order never feeds behavior). The inner adversary's
-// state is delegated.
+// init() on restore, and the wrapper keeps no copy of the inner topology,
+// so the section holds only the started flag, an empty edge list (the
+// place older checkpoints kept an inner-topology mirror) and the inner
+// adversary's delegated state.
 func (l *LocalStatic) SaveState(w *ckpt.Writer) {
 	w.Section(tagLocalStatic)
 	w.Bool(l.started)
 	if l.started {
-		keys := make([]graph.EdgeKey, 0, len(l.innerSet))
-		for k := range l.innerSet {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		w.Int(len(keys))
-		for _, k := range keys {
-			w.Uvarint(uint64(k))
-		}
+		w.Int(0)
 	}
 	saveInner(w, l.Inner)
 }
 
-// LoadState implements Checkpointer. Safe for the repeated loads of a
-// chain restore: derived caches are built once, the mirror is replaced
-// wholesale each time.
+// LoadState implements Checkpointer. A non-empty mirror written by an
+// older version is read and discarded, its length still bounded by
+// Count. Safe for the repeated loads of a chain restore: derived caches
+// are built once.
 func (l *LocalStatic) LoadState(r *ckpt.Reader) {
 	r.Section(tagLocalStatic)
 	started := r.Bool()
@@ -464,12 +459,8 @@ func (l *LocalStatic) LoadState(r *ckpt.Reader) {
 			l.init()
 		}
 		n := r.Count(stateCap)
-		if r.Err() != nil {
-			return
-		}
-		clear(l.innerSet)
-		for i := 0; i < n; i++ {
-			l.innerSet[graph.EdgeKey(r.Uvarint())] = struct{}{}
+		for i := 0; i < n && r.Err() == nil; i++ {
+			r.Uvarint()
 		}
 		if r.Err() != nil {
 			return
@@ -479,16 +470,15 @@ func (l *LocalStatic) LoadState(r *ckpt.Reader) {
 }
 
 // SaveState implements Checkpointer. The awake set is a pure function of
-// (Schedule, lastRound) and is rebuilt on restore; the resolver's
-// previous inner topology — which the next materialized-step diff runs
-// against — is written as its sorted edge-key list. The inner
-// adversary's state is delegated.
+// (Schedule, lastRound) and is rebuilt on restore; the inner topology —
+// which the next round's diff filter runs against — is written as its
+// ascending edge-key list. The inner adversary's state is delegated.
 func (w *Wakeup) SaveState(cw *ckpt.Writer) {
 	cw.Section(tagWakeup)
 	cw.Bool(w.awake != nil)
 	if w.awake != nil {
 		cw.Int(w.lastRound)
-		keys := w.res.prev.EdgeKeys()
+		keys := w.inner.AppendEdgeKeys(nil)
 		cw.Int(len(keys))
 		for _, k := range keys {
 			cw.Uvarint(uint64(k))
@@ -498,8 +488,8 @@ func (w *Wakeup) SaveState(cw *ckpt.Writer) {
 }
 
 // LoadState implements Checkpointer. Safe for the repeated loads of a
-// chain restore: awake set and resolver are rebuilt from scratch each
-// time.
+// chain restore: awake set and inner topology are rebuilt from scratch
+// each time.
 func (w *Wakeup) LoadState(r *ckpt.Reader) {
 	r.Section(tagWakeup)
 	started := r.Bool()
@@ -532,22 +522,31 @@ func (w *Wakeup) LoadState(r *ckpt.Reader) {
 			prev = k
 		}
 		w.lastRound = lastRound
-		w.awake = make([]bool, n)
-		for id, wr := range w.Schedule {
-			if wr >= 1 && wr <= lastRound {
-				w.awake[id] = true
-			}
-		}
-		w.res = NewResolver(n)
-		w.res.Resolve(&Step{EdgeAdds: keys})
+		w.init(n)
+		w.inner.Apply(keys, nil)
 	}
 	loadInner(r, w.Inner)
 }
 
+// ErrProbeCheckpoint is the error with which checkpointing refuses an
+// adversary probe (LubyStaller, ConflictInjector). Their diffs depend on
+// state that is not serialized — the burned edges, the injected edges
+// and the inner topology — so a run resumed without it would emit
+// removes of absent edges; refusing the checkpoint is the only exact
+// answer.
+var ErrProbeCheckpoint = errors.New("adversary: probe adversaries (LubyStaller, ConflictInjector) cannot be checkpointed")
+
+// refusesCheckpoint, embedded in the probes, implements Checkpointer by
+// failing the stream with ErrProbeCheckpoint.
+type refusesCheckpoint struct{}
+
+func (refusesCheckpoint) SaveState(w *ckpt.Writer) { w.Fail(ErrProbeCheckpoint) }
+func (refusesCheckpoint) LoadState(r *ckpt.Reader) { r.Fail(ErrProbeCheckpoint) }
+
 // Interface conformance. P2PChurn, ScriptedStream and the wrappers stay
 // full-rewrite Checkpointers: P2P session state is O(live nodes) anyway,
 // trace replay already fast-forwards incrementally inside LoadState, and
-// the wrappers' inner-topology mirrors are what dominates their records.
+// Wakeup's inner topology is what dominates its records.
 var (
 	_ Checkpointer      = (*Churn)(nil)
 	_ Checkpointer      = (*EdgeMarkov)(nil)
@@ -555,6 +554,8 @@ var (
 	_ Checkpointer      = (*ScriptedStream)(nil)
 	_ Checkpointer      = (*LocalStatic)(nil)
 	_ Checkpointer      = (*Wakeup)(nil)
+	_ Checkpointer      = (*LubyStaller)(nil)
+	_ Checkpointer      = (*ConflictInjector)(nil)
 	_ DeltaCheckpointer = (*Churn)(nil)
 	_ DeltaCheckpointer = (*EdgeMarkov)(nil)
 )

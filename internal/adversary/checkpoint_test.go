@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"bytes"
+	"maps"
 	"testing"
 
 	"dynlocal/internal/ckpt"
@@ -90,8 +91,7 @@ func TestDeltaFastForwardEquivalence(t *testing.T) {
 			// Future steps must coincide too: play both from k2.
 			vLive, vRes := v, newFakeView(n)
 			vRes.round = v.round
-			vRes.prev = v.prev
-			vRes.res.Resolve(&Step{EdgeAdds: v.prev.EdgeKeys()})
+			vRes.edges = maps.Clone(v.edges)
 			for r := 0; r < tail; r++ {
 				a := vLive.play(live)
 				b := vRes.play(resumed)
@@ -155,5 +155,65 @@ func TestDeltaRejectsWrongAdversary(t *testing.T) {
 	m := &EdgeMarkov{Footprint: base, POn: 0.5, POff: 0.5, Seed: 2}
 	if err := deltaRoundTrip(t, c, m, 2, 4); err == nil {
 		t.Fatal("churn delta restored into an edge-Markov adversary")
+	}
+}
+
+// TestLocalStaticLoadsOldMirror pins LocalStatic's checkpoint
+// compatibility: it writes an empty inner-topology mirror, and a
+// non-empty mirror from an older checkpoint is read and discarded — the
+// restored wrapper then plays exactly like one restored from the new
+// bytes — while a mirror length past the state cap still fails.
+func TestLocalStaticLoadsOldMirror(t *testing.T) {
+	const n = 30
+	base := graph.GNP(n, 0.2, prf.NewStream(8, 0, 0, prf.PurposeWorkload))
+	mk := func() *LocalStatic {
+		return &LocalStatic{
+			Inner: &Churn{Base: base, Add: 3, Del: 3, Seed: 4},
+			Base:  base, Protected: []graph.NodeID{2}, Alpha: 1,
+		}
+	}
+	live := mk()
+	v := newFakeView(n)
+	for r := 1; r <= 5; r++ {
+		v.play(live)
+	}
+	// The section as older versions wrote it: the mirror holds the inner
+	// topology's keys.
+	oldState := func(count int, keys []graph.EdgeKey) []byte {
+		var buf bytes.Buffer
+		w := ckpt.NewWriter(&buf)
+		w.Section(tagLocalStatic)
+		w.Bool(true)
+		w.Int(count)
+		for _, k := range keys {
+			w.Uvarint(uint64(k))
+		}
+		saveInner(w, live.Inner)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	mirror := base.EdgeKeys()[:7]
+	fromOld, fromNew := mk(), mk()
+	loadState(t, fromOld, oldState(len(mirror), mirror))
+	loadState(t, fromNew, stateBytes(t, live))
+	if !bytes.Equal(stateBytes(t, fromOld), stateBytes(t, live)) {
+		t.Fatal("state restored from an old mirror differs from the live state")
+	}
+	vOld, vNew := newFakeView(n), newFakeView(n)
+	vOld.round, vNew.round = v.round, v.round
+	vOld.edges, vNew.edges = maps.Clone(v.edges), maps.Clone(v.edges)
+	for r := 0; r < 6; r++ {
+		a, b := vOld.play(fromOld), vNew.play(fromNew)
+		if !a.G.Equal(b.G) {
+			t.Fatalf("round %d after resume: old-mirror restore diverges", v.round+r+1)
+		}
+	}
+
+	r := ckpt.NewReader(bytes.NewReader(oldState(stateCap+1, nil)))
+	mk().LoadState(r)
+	if r.Err() == nil {
+		t.Fatal("mirror length past the state cap accepted")
 	}
 }

@@ -23,6 +23,11 @@ import (
 // undecided-undecided edge set H_r shrinks only by the adversary's own
 // deletions instead of by the 1/3 expected fraction of Lemma 5.2.
 // Experiment E13 measures the resulting stall.
+//
+// Its round-1 diff adds the Base edges that survive the first round's
+// deletions; every later diff removes exactly the edges burned that
+// round. The burned set is not checkpointed: LubyStaller implements
+// Checkpointer only to refuse (see ErrProbeCheckpoint).
 type LubyStaller struct {
 	Base *graph.Graph
 	// Seed must equal the engine seed; Purpose must equal the purpose tag
@@ -34,6 +39,7 @@ type LubyStaller struct {
 	removed map[graph.EdgeKey]bool
 	// Deleted counts the edges burned so far (experiment metric).
 	Deleted int
+	refusesCheckpoint
 }
 
 // Step implements Adversary.
@@ -76,6 +82,7 @@ func (a *LubyStaller) Step(v View) Step {
 
 	// Fixpoint: delete the undecided-incident edges of every would-be
 	// winner; deletions can create new winners within the same round.
+	var burned []graph.EdgeKey
 	for {
 		var winners []graph.NodeID
 		for x, nbrs := range adj {
@@ -105,6 +112,7 @@ func (a *LubyStaller) Step(v View) Step {
 				if !a.removed[k] {
 					a.removed[k] = true
 					a.Deleted++
+					burned = append(burned, k)
 				}
 				// Remove x from y's list.
 				lst := adj[y]
@@ -120,13 +128,16 @@ func (a *LubyStaller) Step(v View) Step {
 		}
 	}
 
-	var keys []graph.EdgeKey
-	a.Base.EachEdge(func(x, y graph.NodeID) {
-		if !a.removed[graph.MakeEdgeKey(x, y)] {
-			keys = append(keys, graph.MakeEdgeKey(x, y))
-		}
-	})
-	// EachEdge visits edges in canonical order, so keys is sorted.
-	st.G = graph.FromSortedEdges(n, keys)
+	if v.Round() == 1 {
+		// EachEdge visits edges in canonical order, so the adds are sorted.
+		a.Base.EachEdge(func(x, y graph.NodeID) {
+			if k := graph.MakeEdgeKey(x, y); !a.removed[k] {
+				st.EdgeAdds = append(st.EdgeAdds, k)
+			}
+		})
+		return st
+	}
+	slices.Sort(burned)
+	st.EdgeRemoves = burned
 	return st
 }

@@ -18,12 +18,10 @@ import (
 // ≤ α from a protected node run through frozen nodes, so N^α(v) is the
 // Base ball every round, and (b) all edges induced on it are Base edges.
 //
-// LocalStatic is delta-native and composes with either step kind from the
-// inner adversary: the frozen zone never changes after round 1, so the
-// wrapper's diff is simply the inner diff filtered to edges with no frozen
-// endpoint (inner diffs are taken as given from delta steps, or recovered
-// by a linear merge for materialized inner steps), plus the frozen base
-// edges once in round 1.
+// The frozen zone never changes after round 1, so the wrapper's diff is
+// simply the inner diff filtered to edges with no frozen endpoint, plus
+// the frozen base edges once in round 1: O(changes) per round, and no
+// copy of the inner topology is kept.
 type LocalStatic struct {
 	Inner     Adversary
 	Base      *graph.Graph
@@ -32,14 +30,8 @@ type LocalStatic struct {
 
 	frozen   []bool // node in B
 	baseEdge []graph.EdgeKey
-	// innerSet mirrors the inner adversary's topology after its last
-	// step, so diffs stay exact even when the inner switches between
-	// delta and materialized steps mid-run (ConflictInjector does).
-	innerSet map[graph.EdgeKey]struct{}
 	addBuf   []graph.EdgeKey
 	remBuf   []graph.EdgeKey
-	diffAdd  []graph.EdgeKey
-	diffRem  []graph.EdgeKey
 	started  bool
 }
 
@@ -56,7 +48,6 @@ func (l *LocalStatic) init() {
 			l.baseEdge = append(l.baseEdge, k)
 		}
 	}
-	l.innerSet = make(map[graph.EdgeKey]struct{})
 	l.started = true
 }
 
@@ -74,72 +65,16 @@ func (l *LocalStatic) FrozenZone() []graph.NodeID {
 	return out
 }
 
-// innerDeltas returns the inner step's edge diff — passed through for
-// delta steps, synthesized for materialized steps — while keeping
-// innerSet an exact mirror of the inner topology, so the two step kinds
-// may alternate freely. Delta steps cost O(changes); materialized steps
-// cost O(|E_r|), which is what a materializing inner costs anyway.
-func (l *LocalStatic) innerDeltas(inner *Step) (adds, removes []graph.EdgeKey) {
-	if inner.G == nil {
-		for _, k := range inner.EdgeAdds {
-			l.innerSet[k] = struct{}{}
-		}
-		for _, k := range inner.EdgeRemoves {
-			delete(l.innerSet, k)
-		}
-		return inner.EdgeAdds, inner.EdgeRemoves
-	}
-	// Adds: edges of the graph missing from the mirror (sorted, being a
-	// subsequence of the sorted key view). Removes: mirror entries not
-	// consumed by the scan — deleted as cur edges match, what remains in
-	// the mirror afterwards is exactly the removed set.
-	adds = l.diffAdd[:0]
-	cur := inner.G.EdgeKeys()
-	for _, k := range cur {
-		if _, ok := l.innerSet[k]; ok {
-			delete(l.innerSet, k)
-		} else {
-			adds = append(adds, k)
-		}
-	}
-	removes = l.diffRem[:0]
-	for k := range l.innerSet {
-		removes = append(removes, k)
-	}
-	slices.Sort(removes)
-	l.diffAdd, l.diffRem = adds, removes
-	// Rebuild the mirror to the new topology.
-	clear(l.innerSet)
-	for _, k := range cur {
-		l.innerSet[k] = struct{}{}
-	}
-	return adds, removes
-}
-
 // Step implements Adversary.
 func (l *LocalStatic) Step(v View) Step {
 	if !l.started {
 		l.init()
 	}
 	inner := l.Inner.Step(v)
-	innerAdds, innerRemoves := l.innerDeltas(&inner)
-	// Surviving inner diff entries (no frozen endpoint); a delta step's
-	// inner additions within the frozen zone are dropped exactly as the
-	// materialized filter dropped the edges themselves.
-	adds := l.addBuf[:0]
-	for _, k := range innerAdds {
-		u, w := k.Nodes()
-		if !l.frozen[u] && !l.frozen[w] {
-			adds = append(adds, k)
-		}
-	}
-	removes := l.remBuf[:0]
-	for _, k := range innerRemoves {
-		u, w := k.Nodes()
-		if !l.frozen[u] && !l.frozen[w] {
-			removes = append(removes, k)
-		}
-	}
+	// Surviving inner diff entries: those with no frozen endpoint.
+	thawed := func(k graph.EdgeKey) bool { u, w := k.Nodes(); return !l.frozen[u] && !l.frozen[w] }
+	adds := keepKeys(l.addBuf[:0], inner.EdgeAdds, thawed)
+	removes := keepKeys(l.remBuf[:0], inner.EdgeRemoves, thawed)
 	st := Step{Wake: inner.Wake}
 	if v.Round() == 1 {
 		// The frozen base edges appear once; they are disjoint from the
@@ -154,9 +89,19 @@ func (l *LocalStatic) Step(v View) Step {
 	return st
 }
 
+// keepKeys appends to dst the keys that keep accepts, preserving order.
+func keepKeys(dst, keys []graph.EdgeKey, keep func(graph.EdgeKey) bool) []graph.EdgeKey {
+	for _, k := range keys {
+		if keep(k) {
+			dst = append(dst, k)
+		}
+	}
+	return dst
+}
+
 // mergeSortedKeys merges two sorted, disjoint key lists into one sorted
-// list; a fresh slice is allocated whenever b is non-empty (only hit in
-// round 1, merging the frozen base edges).
+// list; a fresh slice is allocated whenever b is non-empty (LocalStatic's
+// round 1, and the rounds that wake nodes or inject edges).
 func mergeSortedKeys(a, b []graph.EdgeKey) []graph.EdgeKey {
 	if len(b) == 0 {
 		return a
@@ -204,21 +149,26 @@ func mergeWake(a, b []graph.NodeID) []graph.NodeID {
 //
 // Injected edges persist, so an unresolved conflict would eventually enter
 // the intersection graph and be flagged by the T-dynamic checker. The
-// wrapper resolves delta-native inner steps through a Resolver (it needs
-// the materialized inner graph for duplicate checks); before the first
-// injection it passes inner steps through unchanged.
+// played topology is the inner topology united with the injected edges;
+// the wrapper keeps the inner topology in a graph.DynAdj for its
+// duplicate checks and emits the inner diff minus the injected edges,
+// plus the round's new injections — O(changes) beyond the O(n) grouping
+// of the delayed outputs. The injected set is not checkpointed:
+// ConflictInjector implements Checkpointer only to refuse (see
+// ErrProbeCheckpoint).
 type ConflictInjector struct {
 	Inner    Adversary
 	Rate     int // injection attempts per round
 	MinRound int
 	Seed     uint64
 
-	res      *Resolver
-	injected []graph.EdgeKey
-	have     map[graph.EdgeKey]bool
-	scratch  []graph.EdgeKey
+	inner  *graph.DynAdj // the inner adversary's current topology
+	have   map[graph.EdgeKey]bool
+	addBuf []graph.EdgeKey
+	remBuf []graph.EdgeKey
 	// Injections records (round, edge) for experiment bookkeeping.
 	Injections []Injection
+	refusesCheckpoint
 }
 
 // Injection records one injected conflict edge.
@@ -231,12 +181,13 @@ type Injection struct {
 func (ci *ConflictInjector) Step(v View) Step {
 	if ci.have == nil {
 		ci.have = make(map[graph.EdgeKey]bool)
-		ci.res = NewResolver(v.N())
+		ci.inner = graph.NewDynAdj(v.N())
 	}
 	inner := ci.Inner.Step(v)
-	innerG, _, _ := ci.res.Resolve(&inner)
+	ci.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves)
 	r := v.Round()
 	out := v.DelayedOutputs()
+	var newInj []graph.EdgeKey
 	if r >= ci.MinRound && out != nil {
 		s := advStream(ci.Seed, r)
 		// Group nodes by output value.
@@ -268,19 +219,35 @@ func (ci *ConflictInjector) Step(v View) Step {
 				continue
 			}
 			k := graph.MakeEdgeKey(a, b)
-			if ci.have[k] || innerG.HasEdge(a, b) {
+			if _, inInner := slices.BinarySearch(ci.inner.Neighbors(a), b); ci.have[k] || inInner {
 				continue
 			}
 			ci.have[k] = true
-			ci.injected = append(ci.injected, k)
+			newInj = append(newInj, k)
 			ci.Injections = append(ci.Injections, Injection{Round: r, Edge: k})
 		}
 	}
-	if len(ci.injected) == 0 {
+	if len(ci.have) == 0 {
 		return inner
 	}
-	keys := innerG.AppendEdges(ci.scratch[:0])
-	keys = append(keys, ci.injected...)
-	ci.scratch = keys
-	return Step{G: graph.FromEdges(innerG.N(), keys), Wake: inner.Wake}
+	// An edge is played iff the inner topology has it or it is injected.
+	// Inner changes to injected edges are invisible. A new injection is
+	// absent from the inner topology now; it was played last round only
+	// if the inner adversary removed it this round, in which case neither
+	// the remove nor the add is emitted.
+	notInjected := func(k graph.EdgeKey) bool { return !ci.have[k] }
+	adds := keepKeys(ci.addBuf[:0], inner.EdgeAdds, notInjected)
+	removes := keepKeys(ci.remBuf[:0], inner.EdgeRemoves, notInjected)
+	if len(newInj) > 0 {
+		slices.Sort(newInj)
+		fresh := newInj[:0] // filtered in place
+		for _, k := range newInj {
+			if _, removed := slices.BinarySearch(inner.EdgeRemoves, k); !removed {
+				fresh = append(fresh, k)
+			}
+		}
+		adds = mergeSortedKeys(adds, fresh)
+	}
+	ci.addBuf, ci.remBuf = adds, removes
+	return Step{Wake: inner.Wake, EdgeAdds: adds, EdgeRemoves: removes}
 }

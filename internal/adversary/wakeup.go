@@ -1,6 +1,9 @@
 package adversary
 
 import (
+	"cmp"
+	"slices"
+
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
 )
@@ -11,50 +14,87 @@ import (
 // still-asleep nodes are suppressed. The inner adversary's own wake sets
 // are ignored — the schedule is authoritative.
 //
-// Wakeup materializes its filtered graph each round (a suppressed edge
-// must reappear when its second endpoint wakes, which is not a function
-// of the inner diff alone), resolving delta-native inner steps through a
-// Resolver. It is the package's reference "legacy" wrapper: the engine
-// synthesizes its topology diff by edge-list merge.
+// A suppressed edge must appear when its second endpoint wakes, which is
+// not a function of the inner diff alone, so the wrapper keeps the inner
+// topology in a graph.DynAdj. Its diff is the inner diff restricted to
+// edges whose endpoints were both awake already, plus the inner edges
+// between a node woken this round and an awake node: O(changes + edges at
+// newly woken nodes) per round.
 type Wakeup struct {
 	Inner    Adversary
 	Schedule []int
 
-	res     *Resolver
-	awake   []bool
-	scratch []graph.EdgeKey
+	inner *graph.DynAdj // the inner adversary's current topology
+	awake []bool
+	// order lists node ids by (Schedule, id), so a round's wake set is
+	// found by binary search instead of a rescan of the schedule.
+	order   []graph.NodeID
+	addBuf  []graph.EdgeKey
+	remBuf  []graph.EdgeKey
+	wakeBuf []graph.EdgeKey
 	// lastRound is the last round stepped — with Schedule it determines
 	// the awake set, which is how a checkpoint restore rebuilds it.
 	lastRound int
 }
 
+// init builds the wrapper's state for the position after lastRound with
+// an empty inner topology.
+func (w *Wakeup) init(n int) {
+	w.inner = graph.NewDynAdj(n)
+	w.awake = make([]bool, len(w.Schedule))
+	w.order = make([]graph.NodeID, len(w.Schedule))
+	for id := range w.order {
+		w.order[id] = graph.NodeID(id)
+	}
+	slices.SortStableFunc(w.order, func(a, b graph.NodeID) int {
+		return cmp.Compare(w.Schedule[a], w.Schedule[b])
+	})
+	for id, wr := range w.Schedule {
+		w.awake[id] = wr >= 1 && wr <= w.lastRound
+	}
+}
+
 // Step implements Adversary.
 func (w *Wakeup) Step(v View) Step {
 	if w.awake == nil {
-		w.awake = make([]bool, len(w.Schedule))
-		w.res = NewResolver(v.N())
+		w.init(v.N())
 	}
 	r := v.Round()
 	w.lastRound = r
-	var wake []graph.NodeID
-	for id, wr := range w.Schedule {
-		if wr == r {
-			w.awake[id] = true
-			wake = append(wake, graph.NodeID(id))
-		}
-	}
 	inner := w.Inner.Step(v)
-	innerG, _, _ := w.res.Resolve(&inner)
-	keys := w.scratch[:0]
-	for _, k := range innerG.EdgeKeys() {
-		x, y := k.Nodes()
-		if w.awake[x] && w.awake[y] {
-			keys = append(keys, k)
-		}
+	w.inner.Apply(inner.EdgeAdds, inner.EdgeRemoves)
+	// Between nodes awake before this round, an edge changes exactly when
+	// the inner adversary changes it.
+	both := func(k graph.EdgeKey) bool { x, y := k.Nodes(); return w.awake[x] && w.awake[y] }
+	adds := keepKeys(w.addBuf[:0], inner.EdgeAdds, both)
+	removes := keepKeys(w.remBuf[:0], inner.EdgeRemoves, both)
+
+	start, _ := slices.BinarySearchFunc(w.order, r, func(id graph.NodeID, r int) int {
+		return cmp.Compare(w.Schedule[id], r)
+	})
+	end := start
+	for ; end < len(w.order) && w.Schedule[w.order[end]] == r; end++ {
+		w.awake[w.order[end]] = true
 	}
-	w.scratch = keys
-	// EdgeKeys is sorted, so the filtered subsequence is too.
-	return Step{G: graph.FromSortedEdges(innerG.N(), keys), Wake: wake}
+	// Ascending ids: order is sorted by id within one schedule round.
+	wake := w.order[start:end:end]
+	if len(wake) > 0 {
+		// A woken node's edges to awake nodes appear, each once: from its
+		// smaller endpoint when both woke this round.
+		woke := w.wakeBuf[:0]
+		for _, x := range wake {
+			for _, y := range w.inner.Neighbors(x) {
+				if w.awake[y] && (w.Schedule[y] != r || x < y) {
+					woke = append(woke, graph.MakeEdgeKey(x, y))
+				}
+			}
+		}
+		slices.Sort(woke)
+		w.wakeBuf = woke
+		adds = mergeSortedKeys(adds, woke)
+	}
+	w.addBuf, w.remBuf = adds, removes
+	return Step{Wake: wake, EdgeAdds: adds, EdgeRemoves: removes}
 }
 
 // StaggeredSchedule wakes perRound nodes per round in id order.

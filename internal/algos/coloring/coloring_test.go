@@ -6,6 +6,7 @@ import (
 
 	"dynlocal/internal/adversary"
 	"dynlocal/internal/core"
+	"dynlocal/internal/dyngraph"
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
 	"dynlocal/internal/prf"
@@ -439,16 +440,18 @@ func TestColoringConcatLocallyStatic(t *testing.T) {
 
 // --- helpers ------------------------------------------------------------
 
-func scriptedSeq(gs ...*graph.Graph) traceLike { return traceLike{gs} }
-
-type traceLike struct{ gs []*graph.Graph }
-
-func (t traceLike) Replay(fn func(int, *graph.Graph, []graph.NodeID)) {
-	for i, g := range t.gs {
+// scriptedSeq records the graph sequence as a trace that wakes every node in
+// round 1.
+func scriptedSeq(gs ...*graph.Graph) *dyngraph.Trace {
+	tr := dyngraph.NewTrace(gs[0].N())
+	var prev *graph.Graph
+	for i, g := range gs {
 		var wake []graph.NodeID
 		if i == 0 {
 			wake = adversary.AllNodes(g.N())
 		}
-		fn(i+1, g, wake)
+		tr.Append(prev, g, wake)
+		prev = g
 	}
+	return tr
 }

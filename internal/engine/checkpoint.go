@@ -100,7 +100,7 @@ func (e *Engine) CheckpointTo(w *ckpt.Writer) {
 	}
 
 	w.Section(tagTopology)
-	keys := e.resolver.Materialize().EdgeKeys()
+	keys := e.resolver.materialize().EdgeKeys()
 	w.Int(len(keys))
 	var prevKey graph.EdgeKey
 	for i, k := range keys {
@@ -406,6 +406,6 @@ func (e *Engine) RestoreFrom(r *ckpt.Reader) {
 		}
 	}
 	e.adj.Apply(keys, nil)
-	e.resolver.Observe(&adversary.Step{EdgeAdds: keys})
+	e.resolver.observe(keys, nil)
 	e.round = round
 }

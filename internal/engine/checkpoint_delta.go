@@ -531,7 +531,7 @@ func (e *Engine) RestoreDeltaFrom(r *ckpt.Reader) {
 		}
 	}
 	e.adj.Apply(adds, rems)
-	e.resolver.Observe(&adversary.Step{EdgeAdds: adds, EdgeRemoves: rems})
+	e.resolver.observe(adds, rems)
 	e.round = round
 }
 

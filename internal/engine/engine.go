@@ -47,8 +47,8 @@
 // is the regime of the paper's highly dynamic P2P workloads (awake ≪ n).
 // The current topology lives in an incrementally patched adjacency
 // (graph.DynAdj, O(changes·Δ) per round); a CSR graph is only
-// materialized when an observer asks RoundInfo.Graph() or a wrapper
-// adversary asks View.PrevGraph(). Worker shards are cut by walking the
+// materialized when an observer asks RoundInfo.Graph() or a full
+// checkpoint is written. Worker shards are cut by walking the
 // active list's degrees — O(active + workers), no per-round O(n) prefix
 // rebuild. The active-set walk is the engine's only round walk; its
 // equivalence suite checks it against a serial test-only walk written
@@ -61,9 +61,8 @@
 // RoundInfo.Changed is the sorted list of nodes whose output differs from
 // the previous round, folded from the per-worker shards at the phase-2
 // barrier. On the topology side, RoundInfo.EdgeAdds/EdgeRemoves are the
-// sorted edge diff against the previous round: taken verbatim from
-// delta-native adversaries, or synthesized by a linear edge-key merge for
-// adversaries that materialize. Observers that maintain per-round state
+// sorted edge diff against the previous round, taken verbatim from the
+// adversary's step. Observers that maintain per-round state
 // (the checkers in internal/verify, violation trackers in
 // internal/problems, the sliding windows in internal/dyngraph) consume
 // the delta plane whole (verify.(*TDynamic).Feed) to do
@@ -259,10 +258,9 @@ type RoundInfo struct {
 	Changed []graph.NodeID
 	// EdgeAdds and EdgeRemoves are the topology side of the round-delta
 	// plane: the sorted edge diff of this round's graph against the
-	// previous round's (round 1 diffs against the empty G_0) — emitted
-	// natively by delta adversaries, synthesized by edge-list merge
-	// otherwise. Both slices are pooled and reused on the next Step — copy
-	// to retain. Do not modify.
+	// previous round's (round 1 diffs against the empty G_0), exactly as
+	// the adversary's step emitted it. Both slices are loaned (from the
+	// adversary) until the next Step — copy to retain. Do not modify.
 	//dynlint:loan
 	//dynlint:sorted
 	EdgeAdds, EdgeRemoves []graph.EdgeKey
@@ -291,7 +289,7 @@ func (ri *RoundInfo) Graph() *graph.Graph {
 	if ri.eng == nil || ri.eng.round != ri.Round {
 		panic(fmt.Sprintf("engine: RoundInfo.Graph for round %d called after the engine moved on — call it during the round, or use Retain", ri.Round))
 	}
-	return ri.eng.resolver.Materialize()
+	return ri.eng.resolver.materialize()
 }
 
 // Delta returns the round's consolidated delta-plane view. The slices
@@ -331,7 +329,7 @@ type Engine struct {
 	sizer BitSizer
 
 	round    int
-	resolver *adversary.Resolver // lazy topology feed: per-round diffs, on-demand CSR
+	resolver *resolver // lazy topology feed: per-round diffs, on-demand CSR
 	states   []NodeProc
 	awake    []bool
 	wakeRnd  []int
@@ -412,7 +410,7 @@ func New(cfg Config, adv adversary.Adversary, algo Algorithm) *Engine {
 		adv:      adv,
 		algo:     algo,
 		round:    0,
-		resolver: adversary.NewResolver(cfg.N),
+		resolver: newResolver(cfg.N),
 		states:   make([]NodeProc, cfg.N),
 		awake:    make([]bool, cfg.N),
 		wakeRnd:  make([]int, cfg.N),
@@ -463,12 +461,8 @@ type view struct {
 	r int
 }
 
-func (v *view) Round() int { return v.r }
-func (v *view) N() int     { return v.e.cfg.N }
-
-// PrevGraph materializes G_{r-1} on demand. Delta-native adversaries
-// never call it, keeping their rounds free of the O(n + m) CSR build.
-func (v *view) PrevGraph() *graph.Graph    { return v.e.resolver.Materialize() }
+func (v *view) Round() int                 { return v.r }
+func (v *view) N() int                     { return v.e.cfg.N }
 func (v *view) Awake(id graph.NodeID) bool { return v.e.awake[id] }
 func (v *view) DelayedOutputs() []problems.Value {
 	seen := v.r - v.e.lag
@@ -484,13 +478,11 @@ func (e *Engine) Step() *RoundInfo {
 	r := e.round + 1
 	e.vw.r = r
 	st := e.adv.Step(&e.vw)
-	if st.G != nil && st.G.N() != e.cfg.N {
-		panic("engine: adversary returned graph with wrong node space")
-	}
-	// The round's topology as a sorted diff: passed through for delta
-	// steps, synthesized by one linear merge for materialized steps. No
-	// CSR graph is built here.
-	adds, removes := e.resolver.Observe(&st)
+	e.checkUniverse(r, &st)
+	// The round's topology is the step's sorted diff; no CSR graph is
+	// built here.
+	adds, removes := st.EdgeAdds, st.EdgeRemoves
+	e.resolver.observe(adds, removes)
 	if e.ckptTrack {
 		for _, k := range adds {
 			e.markEdgeDirty(k, true)
@@ -805,6 +797,26 @@ func (e *Engine) sparseProcess(ctx *Ctx, w int, v graph.NodeID) (int, int64) {
 		e.quiet[v] = 0
 	}
 	return 0, 0
+}
+
+// checkUniverse panics with a named message if the step names a node
+// outside [0, N) — a wake id, or an endpoint of a diff key — so a broken
+// adversary fails here, in O(|wake| + |changes|), rather than with an
+// index-out-of-range deep inside the round.
+func (e *Engine) checkUniverse(r int, st *adversary.Step) {
+	n := graph.NodeID(e.cfg.N)
+	for _, v := range st.Wake {
+		if v < 0 || v >= n {
+			panic(fmt.Sprintf("engine: round %d adversary woke node %d outside universe [0,%d)", r, v, n))
+		}
+	}
+	for _, keys := range [2][]graph.EdgeKey{st.EdgeAdds, st.EdgeRemoves} {
+		for _, k := range keys {
+			if u, v := k.Nodes(); u < 0 || u >= v || v >= n {
+				panic(fmt.Sprintf("engine: round %d adversary edge %s outside universe [0,%d)", r, k, n))
+			}
+		}
+	}
 }
 
 // panicSleepingEdge is the cold path for model violations, kept out of

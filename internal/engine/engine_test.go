@@ -159,7 +159,7 @@ func TestAdversaryViewLag(t *testing.T) {
 	const n = 4
 	var lagSeen []problems.Value
 	probe := adversaryFunc(func(v adversary.View) adversary.Step {
-		st := adversary.Step{G: graph.Empty(n)}
+		st := adversary.Step{}
 		if v.Round() == 1 {
 			st.Wake = adversary.AllNodes(n)
 		}
@@ -186,7 +186,7 @@ func TestFullyAdaptiveLag(t *testing.T) {
 	const n = 2
 	var lagSeen []problems.Value
 	probe := adversaryFunc(func(v adversary.View) adversary.Step {
-		st := adversary.Step{G: graph.Empty(n)}
+		st := adversary.Step{}
 		if v.Round() == 1 {
 			st.Wake = adversary.AllNodes(n)
 		}
@@ -253,8 +253,8 @@ func TestEnginePanicsOnSleepingEdge(t *testing.T) {
 	bad := adversaryFunc(func(v adversary.View) adversary.Step {
 		// Edge between 0 and 1, but only 0 is awake.
 		return adversary.Step{
-			G:    graph.FromEdges(3, []graph.EdgeKey{graph.MakeEdgeKey(0, 1)}),
-			Wake: []graph.NodeID{0},
+			EdgeAdds: []graph.EdgeKey{graph.MakeEdgeKey(0, 1)},
+			Wake:     []graph.NodeID{0},
 		}
 	})
 	e := New(Config{N: 3, Seed: 1}, bad, degreeAlgo{})
@@ -266,17 +266,34 @@ func TestEnginePanicsOnSleepingEdge(t *testing.T) {
 	e.Step()
 }
 
+// TestEnginePanicsOnWrongGraphSize pins the universe check at the top of
+// Step: a step naming a node outside [0, N) — as an edge endpoint or a
+// wake id — fails with a named panic, not an index-out-of-range.
 func TestEnginePanicsOnWrongGraphSize(t *testing.T) {
-	bad := adversaryFunc(func(v adversary.View) adversary.Step {
-		return adversary.Step{G: graph.Empty(7)}
-	})
-	e := New(Config{N: 3, Seed: 1}, bad, degreeAlgo{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for wrong node space")
-		}
-	}()
-	e.Step()
+	cases := []struct {
+		name string
+		st   adversary.Step
+		want string
+	}{
+		{"edge", adversary.Step{
+			Wake:     []graph.NodeID{0, 1, 2},
+			EdgeAdds: []graph.EdgeKey{graph.MakeEdgeKey(0, 1), graph.MakeEdgeKey(1, 6)},
+		}, "engine: round 1 adversary edge {1,6} outside universe [0,3)"},
+		{"wake", adversary.Step{Wake: []graph.NodeID{0, 7}},
+			"engine: round 1 adversary woke node 7 outside universe [0,3)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := adversaryFunc(func(v adversary.View) adversary.Step { return tc.st })
+			e := New(Config{N: 3, Seed: 1}, bad, degreeAlgo{})
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic = %v, want %q", got, tc.want)
+				}
+			}()
+			e.Step()
+		})
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

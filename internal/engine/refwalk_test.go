@@ -3,12 +3,15 @@ package engine_test
 // A reference round walk written directly from the model of Section 2,
 // the baseline TestEngineMatchesReferenceWalk holds the engine to. It is
 // deliberately naive: serial, no sharding, no pooling, no active set or
-// quiescence, no checkpoint tracking. Every round it resolves the
-// adversary step into G_r, wakes nodes, lets every awake node broadcast,
+// quiescence, no checkpoint tracking. Every round it folds the adversary's
+// edge diff into its own edge set and rebuilds G_r from it, wakes nodes, lets every awake node broadcast,
 // delivers each broadcast to all current neighbours and lets every awake
 // node process its inbox together with its degree in G_r.
 
 import (
+	"fmt"
+	"slices"
+
 	"dynlocal/internal/adversary"
 	"dynlocal/internal/engine"
 	"dynlocal/internal/graph"
@@ -22,12 +25,8 @@ type refWalk struct {
 	seed   uint64
 	adv    adversary.Adversary
 	algo   engine.Algorithm
-	res    *adversary.Resolver
-	// g is G_r after round r (G_0 is empty). It is on loan from res,
-	// valid through the next Resolve: the adversary reads it as
-	// PrevGraph before that call.
-	//dynlint:loan
-	g       *graph.Graph
+	// edges is the edge set of G_r after round r (G_0 is empty).
+	edges   map[graph.EdgeKey]bool
 	awake   []bool
 	nodes   []engine.NodeProc
 	outputs [][]problems.Value
@@ -36,8 +35,7 @@ type refWalk struct {
 func newRefWalk(n, lag int, seed uint64, adv adversary.Adversary, algo engine.Algorithm) *refWalk {
 	return &refWalk{
 		n: n, lag: lag, seed: seed, adv: adv, algo: algo,
-		res:   adversary.NewResolver(n),
-		g:     graph.Empty(n),
+		edges: make(map[graph.EdgeKey]bool),
 		awake: make([]bool, n),
 		nodes: make([]engine.NodeProc, n),
 	}
@@ -51,7 +49,6 @@ type refView struct {
 
 func (v refView) Round() int                 { return v.r }
 func (v refView) N() int                     { return v.w.n }
-func (v refView) PrevGraph() *graph.Graph    { return v.w.g }
 func (v refView) Awake(id graph.NodeID) bool { return v.w.awake[id] }
 func (v refView) DelayedOutputs() []problems.Value {
 	if seen := v.r - v.w.lag; seen >= 1 {
@@ -65,10 +62,10 @@ func (w *refWalk) step(tr *fullTrace) {
 	r := len(w.outputs) + 1
 	ctx := func(v graph.NodeID) *engine.Ctx { return &engine.Ctx{Node: v, Round: r, Seed: w.seed} }
 
-	// 1. The adversary's step, resolved into G_r and its edge diff.
+	// 1. The adversary's step: its edge diff, folded into G_r.
 	st := w.adv.Step(refView{w, r})
-	g, adds, removes := w.res.Resolve(&st)
-	w.g = g
+	adds, removes := st.EdgeAdds, st.EdgeRemoves
+	g := w.fold(adds, removes)
 
 	// 2. Wake-ups: a new node starts with its input (⊥ here).
 	for _, v := range st.Wake {
@@ -133,6 +130,36 @@ func (w *refWalk) step(tr *fullTrace) {
 	tr.removes = append(tr.removes, append([]graph.EdgeKey(nil), removes...))
 	tr.messages = append(tr.messages, messages)
 	tr.bits = append(tr.bits, bits)
+}
+
+// fold applies one round's diff to the edge set, checking the Step
+// contract (strictly ascending keys, adds absent, removes present), and
+// returns G_r built from scratch.
+func (w *refWalk) fold(adds, removes []graph.EdgeKey) *graph.Graph {
+	for _, diff := range []struct {
+		keys  []graph.EdgeKey
+		added bool
+	}{{adds, true}, {removes, false}} {
+		for i, k := range diff.keys {
+			if i > 0 && diff.keys[i-1] >= k {
+				panic(fmt.Sprintf("refwalk: diff keys not strictly ascending at %s", k))
+			}
+			if w.edges[k] == diff.added {
+				panic(fmt.Sprintf("refwalk: diff entry %s (added=%v) does not change the edge set", k, diff.added))
+			}
+			if diff.added {
+				w.edges[k] = true
+			} else {
+				delete(w.edges, k)
+			}
+		}
+	}
+	keys := make([]graph.EdgeKey, 0, len(w.edges))
+	for k := range w.edges {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return graph.FromSortedEdges(w.n, keys)
 }
 
 // refTrace plays rounds rounds of the reference walk under the engine's

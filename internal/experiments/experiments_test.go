@@ -1,8 +1,41 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the quick-mode result goldens under testdata/")
+
+// checkGolden pins an experiment's quick-mode result: the canonical %+v
+// rendering must match testdata/<name>.golden byte for byte, so a
+// refactor that shifts any number — not just one the shape assertions
+// look at — fails here. Run with -update to rewrite the fixture after a
+// deliberate behaviour change.
+func checkGolden(t *testing.T, name string, res any) {
+	t.Helper()
+	got := fmt.Sprintf("%+v\n", res)
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create it): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("%s quick result drifted from %s:\n got: %s\nwant: %s", name, path, got, want)
+	}
+}
 
 // The experiment suite doubles as the paper's evaluation; these tests run
 // every experiment in Quick mode and assert the paper-predicted shapes,
@@ -12,6 +45,7 @@ func quick() Params { return Params{Quick: true, Seed: 12345} }
 
 func TestE01DColorConvergenceShape(t *testing.T) {
 	res := E01DColorConvergence(quick())
+	checkGolden(t, "E01", res)
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -37,6 +71,7 @@ func TestE01DColorConvergenceShape(t *testing.T) {
 
 func TestE02ConflictResolution(t *testing.T) {
 	res := E02ConflictResolution(quick())
+	checkGolden(t, "E02", res)
 	if res.Injected == 0 {
 		t.Fatal("no conflicts injected — experiment ineffective")
 	}
@@ -52,7 +87,9 @@ func TestE02ConflictResolution(t *testing.T) {
 }
 
 func TestE03LocalStability(t *testing.T) {
-	for _, res := range E03LocalStability(quick()) {
+	results := E03LocalStability(quick())
+	checkGolden(t, "E03", results)
+	for _, res := range results {
 		if res.ProtectedChanges != 0 {
 			t.Fatalf("%s: %d protected-node changes after stabilization", res.Problem, res.ProtectedChanges)
 		}
@@ -66,7 +103,9 @@ func TestE03LocalStability(t *testing.T) {
 }
 
 func TestE04ColoringProgress(t *testing.T) {
-	for _, res := range E04ColoringProgress(quick()) {
+	results := E04ColoringProgress(quick())
+	checkGolden(t, "E04", results)
+	for _, res := range results {
 		if res.SlowRounds == 0 {
 			t.Fatalf("%s: no slow rounds observed", res.Algorithm)
 		}
@@ -78,7 +117,9 @@ func TestE04ColoringProgress(t *testing.T) {
 }
 
 func TestE05MISEdgeDecay(t *testing.T) {
-	for _, res := range E05MISEdgeDecay(quick()) {
+	results := E05MISEdgeDecay(quick())
+	checkGolden(t, "E05", results)
+	for _, res := range results {
 		if res.Samples < 4 {
 			t.Fatalf("%s: too few decay samples (%d)", res.Adversary, res.Samples)
 		}
@@ -91,6 +132,7 @@ func TestE05MISEdgeDecay(t *testing.T) {
 
 func TestE06DMisConvergenceShape(t *testing.T) {
 	res := E06DMisConvergence(quick())
+	checkGolden(t, "E06", res)
 	for _, pt := range res.Points {
 		if pt.Rounds.Mean >= float64(pt.Window) {
 			t.Fatalf("n=%d %s: mean rounds %v exceeds window %d",
@@ -108,7 +150,9 @@ func TestE06DMisConvergenceShape(t *testing.T) {
 }
 
 func TestE07SMisStaticBall(t *testing.T) {
-	for _, res := range E07SMisStaticBall(quick()) {
+	results := E07SMisStaticBall(quick())
+	checkGolden(t, "E07", results)
+	for _, res := range results {
 		if res.UndecidedAtEnd != 0 {
 			t.Fatalf("n=%d: %d protected nodes never decided", res.N, res.UndecidedAtEnd)
 		}
@@ -119,7 +163,9 @@ func TestE07SMisStaticBall(t *testing.T) {
 }
 
 func TestE08ConcatEndToEnd(t *testing.T) {
-	for _, res := range E08ConcatEndToEnd(quick()) {
+	results := E08ConcatEndToEnd(quick())
+	checkGolden(t, "E08", results)
+	for _, res := range results {
 		if res.InvalidRounds != 0 {
 			t.Fatalf("%s/%s: %d invalid rounds (%d violations)",
 				res.Problem, res.Adversary, res.InvalidRounds, res.Violations)
@@ -129,6 +175,7 @@ func TestE08ConcatEndToEnd(t *testing.T) {
 
 func TestE09BaselinesShape(t *testing.T) {
 	results := E09Baselines(quick())
+	checkGolden(t, "E09", results)
 	byAlgo := map[string]map[int]BaselineResult{}
 	for _, r := range results {
 		if byAlgo[r.Algorithm] == nil {
@@ -167,6 +214,7 @@ func TestE09BaselinesShape(t *testing.T) {
 
 func TestE10WindowSweepShape(t *testing.T) {
 	results := E10WindowSweep(quick())
+	checkGolden(t, "E10", results)
 	var tooSmallInvalid, defaultInvalid, doubleInvalid float64
 	for _, r := range results {
 		if r.Window == 2 {
@@ -192,6 +240,7 @@ func TestE10WindowSweepShape(t *testing.T) {
 
 func TestE11DeltaWindowsMonotone(t *testing.T) {
 	results := E11DeltaWindows(quick())
+	checkGolden(t, "E11", results)
 	for i := 1; i < len(results); i++ {
 		if results[i].MeanEdges > results[i-1].MeanEdges+1e-9 {
 			t.Fatalf("edge count not monotone in δ: %v -> %v",
@@ -208,7 +257,9 @@ func TestE11DeltaWindowsMonotone(t *testing.T) {
 }
 
 func TestE12MessageBitsPolylog(t *testing.T) {
-	for _, res := range E12MessageBits(quick()) {
+	results := E12MessageBits(quick())
+	checkGolden(t, "E12", results)
+	for _, res := range results {
 		if res.BitsPerMsg <= 0 {
 			t.Fatalf("%s n=%d: no bits accounted", res.Algorithm, res.N)
 		}
@@ -224,6 +275,7 @@ func TestE12MessageBitsPolylog(t *testing.T) {
 
 func TestE13Clairvoyant(t *testing.T) {
 	res := E13Clairvoyant(quick())
+	checkGolden(t, "E13", res)
 	if res.ObliviousDominated == 0 {
 		t.Fatal("oblivious run dominated nobody")
 	}
@@ -242,7 +294,9 @@ func TestE13Clairvoyant(t *testing.T) {
 }
 
 func TestE14AsyncWakeup(t *testing.T) {
-	for _, res := range E14AsyncWakeup(quick()) {
+	results := E14AsyncWakeup(quick())
+	checkGolden(t, "E14", results)
+	for _, res := range results {
 		if res.InvalidRounds != 0 {
 			t.Fatalf("%s: %d invalid rounds", res.Schedule, res.InvalidRounds)
 		}

@@ -294,16 +294,22 @@ type stormAdversary struct {
 	hold  int
 }
 
+// holds reports whether round r plays the fixed graph.
+func (s stormAdversary) holds(r int) bool { return (r-1)%(s.clear+s.hold) >= s.clear }
+
+// Step adds the graph when a hold phase begins and removes it when a
+// storm begins; every other round's diff is empty.
 func (s stormAdversary) Step(v adversary.View) adversary.Step {
+	r := v.Round()
 	st := adversary.Step{}
-	if v.Round() == 1 {
+	if r == 1 {
 		st.Wake = adversary.AllNodes(s.g.N())
 	}
-	phase := (v.Round() - 1) % (s.clear + s.hold)
-	if phase < s.clear {
-		st.G = graph.Empty(s.g.N())
-	} else {
-		st.G = s.g
+	switch now, before := s.holds(r), r > 1 && s.holds(r-1); {
+	case now && !before:
+		st.EdgeAdds = s.g.EdgeKeys()
+	case before && !now:
+		st.EdgeRemoves = s.g.EdgeKeys()
 	}
 	return st
 }

@@ -11,8 +11,9 @@ import (
 // Apply instead of the Patcher's O(n + m) offset-shift pass. It trades
 // the CSR's shared arena (and therefore EdgeKeys) for strictly
 // change-proportional updates: the engine walks rows and degrees of the
-// active set only, and a full CSR Graph is materialized lazily — via the
-// Resolver — only when an observer asks for one.
+// active set only, and a full CSR Graph is materialized lazily — by the
+// engine — only when an observer asks for one. Wrapper adversaries keep
+// their inner adversary's topology in one too.
 //
 // Apply enforces the same delta contract as Patcher.Apply (strictly
 // ascending canonical keys, adds absent, removes present, endpoints in
@@ -43,6 +44,21 @@ func (a *DynAdj) Degree(v NodeID) int { return len(a.rows[v]) }
 // DynAdj-owned storage, is invalidated by the next Apply touching v, and
 // must not be modified.
 func (a *DynAdj) Neighbors(v NodeID) []NodeID { return a.rows[v] }
+
+// AppendEdgeKeys appends every edge to dst in ascending key order: row u
+// in id order contributes its neighbours above u, which is exactly the
+// canonical order. It costs O(n + m), so it is meant for checkpoints, not
+// rounds.
+func (a *DynAdj) AppendEdgeKeys(dst []EdgeKey) []EdgeKey {
+	for u, row := range a.rows {
+		for _, v := range row {
+			if v > NodeID(u) {
+				dst = append(dst, MakeEdgeKey(NodeID(u), v))
+			}
+		}
+	}
+	return dst
+}
 
 // insert adds u to v's sorted row, panicking if already present.
 func (a *DynAdj) insert(v, u NodeID) {

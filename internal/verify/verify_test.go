@@ -139,19 +139,15 @@ func TestTDynamicMIS(t *testing.T) {
 }
 
 // advView is a minimal adversary.View for driving adversaries without the
-// engine: it tracks the round, the previous graph and the awake set.
+// engine: it tracks the round and the awake set.
 type advView struct {
 	round int
 	n     int
-	// prev may alias a pooled resolver arena, exactly like Resolver.prev.
-	//dynlint:loan
-	prev  *graph.Graph
 	awake []bool
 }
 
 func (v *advView) Round() int                       { return v.round }
 func (v *advView) N() int                           { return v.n }
-func (v *advView) PrevGraph() *graph.Graph          { return v.prev }
 func (v *advView) Awake(id graph.NodeID) bool       { return v.awake[id] }
 func (v *advView) DelayedOutputs() []problems.Value { return nil }
 
@@ -209,16 +205,18 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 			t.Run(sc.name+"/"+pcase.name, func(t *testing.T) {
 				seed := uint64(17 + ci)
 				adv := sc.mk(seed)
-				res := adversary.NewResolver(n)
+				// The reference checker reads G_r, patched from each diff.
+				p := graph.NewPatcher(n)
 				chk := NewTDynamic(pcase.pc, T, n)
 				ref := newRefChecker(pcase.pc, T, n)
-				view := &advView{n: n, prev: graph.Empty(n), awake: make([]bool, n)}
+				view := &advView{n: n, awake: make([]bool, n)}
 				out := make([]problems.Value, n)
 				outStream := prf.NewStream(seed+99, 0, 0, prf.PurposeWorkload)
 				for r := 1; r <= rounds; r++ {
 					view.round = r
 					st := adv.Step(view)
-					g, adds, removes := res.Resolve(&st)
+					adds, removes := st.EdgeAdds, st.EdgeRemoves
+					g := p.Apply(adds, removes)
 					for _, v := range st.Wake {
 						view.awake[v] = true
 					}
@@ -242,7 +240,6 @@ func TestTDynamicIncrementalMatchesOracle(t *testing.T) {
 						t.Fatalf("round %d: reports diverge\nFeed      %+v\nreference %+v",
 							r, got, want)
 					}
-					view.prev = g
 				}
 				assertTotalsEqual(t, chk, ref)
 			})
